@@ -87,6 +87,7 @@ def _cmd_solve(args) -> int:
             {
                 "jury_ids": [j.id for j in result.jury.members],
                 "jer": result.jer,
+                "log10_jer": result.log10_jer,
                 "total_cost": result.total_cost,
                 "juries_evaluated": result.juries_evaluated,
                 "juries_pruned": result.juries_pruned,

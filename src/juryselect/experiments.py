@@ -135,9 +135,10 @@ def _run_altrm_traits(spec: ExperimentSpec):
             "seed": seed,
             "optimal_jury_size": result.jury.size,
             "jer": result.jer,
+            "log10_jer": result.log10_jer,
         }
 
-    fields = ["epsilon_mean", "epsilon_stddev", "seed", "optimal_jury_size", "jer"]
+    fields = ["epsilon_mean", "epsilon_stddev", "seed", "optimal_jury_size", "jer", "log10_jer"]
     return fields, _map_grid(point, grid, parallel=True)
 
 

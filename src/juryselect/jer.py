@@ -17,6 +17,7 @@ full evaluations when the bound already exceeds a known-better value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -52,7 +53,8 @@ class Juror:
     is clamped into [1e-6, 1 - 1e-6] on construction so that estimated
     scores hitting 0 or 1 never produce a deterministic voter.
     ``requirement`` is the payment needed to enroll the juror (0 for
-    altruistic voters).
+    altruistic voters).  Both must be finite: NaN and infinities are
+    rejected with ``ValueError`` rather than clamped.
     """
 
     id: str
@@ -60,6 +62,9 @@ class Juror:
     requirement: float = 0.0
 
     def __post_init__(self):
+        for name in ("epsilon", "requirement"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ValueError(f"juror {self.id!r}: {name} must be finite")
         object.__setattr__(self, "epsilon", clamp_epsilon(self.epsilon))
         object.__setattr__(self, "requirement", float(self.requirement))
         if not self.requirement >= 0.0:

@@ -10,6 +10,12 @@ Two cost models:
   fit a budget.  Exact selection is intractable, so ``solve_paym_greedy``
   grows a jury in cheap pairs, and ``solve_oracle`` provides enumeration
   ground truth for small pools.
+
+``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so each keeps
+one rolling log tail row, ``row[l] = log P(W >= l)`` for the wrong-vote
+count ``W``: O(n) to add a juror, O(1) to read, and exact to relative
+float precision far below the float floor, where very reliable juries'
+error rates live.
 """
 
 from __future__ import annotations
@@ -24,37 +30,23 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import (
-    DIRECT_CONVOLUTION_MAX,
-    Juror,
-    Jury,
-    WrongCountDistribution,
-    _cba,
-    _tail_recurrence,
-    jer_from_distribution,
-)
+from .jer import Juror, Jury
 
 # 2**22 subsets is where exhaustive enumeration stops being a usable
 # oracle; the published effectiveness experiments stop there too.
 ORACLE_SIZE_MAX = 22
 
-# Below this tail size the FFT merge's absolute round-off (~1e-14)
-# drowns the value, so selection re-evaluates with the recurrence, which
-# keeps relative accuracy however deep the tail goes.
-_DEEP_TAIL = 1e-12
+
+def _empty_row(length: int) -> np.ndarray:
+    """The log tail row of an empty jury: P(W >= 0) = 1, every other tail 0."""
+    row = np.full(length, -np.inf)
+    row[0] = 0.0
+    return row
 
 
-def _selection_jer(eps: np.ndarray) -> float:
-    """Tail probability for solver-internal comparisons.
-
-    The n log n convolution route, except that results under the FFT
-    noise floor are redone with the O(n^2) recurrence; without that,
-    very reliable juries all evaluate to 0.0 and cannot be ranked.
-    """
-    tail = jer_from_distribution(WrongCountDistribution(_cba(eps)))
-    if tail < _DEEP_TAIL and eps.size > 2 * DIRECT_CONVOLUTION_MAX:
-        return _tail_recurrence(eps)
-    return tail
+def _advance(row: np.ndarray, e: float) -> None:
+    """Absorb one juror with error rate ``e`` into a log tail row, in place."""
+    row[1:] = np.logaddexp(row[1:] + math.log1p(-e), row[:-1] + math.log(e))
 
 
 @dataclass(frozen=True)
@@ -96,10 +88,15 @@ class Budget:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A chosen jury plus its error rate, cost and search diagnostics."""
+    """A chosen jury plus its error rate, cost and search diagnostics.
+
+    ``jer`` is a float and reads 0.0 once the error rate falls below the
+    float floor (about 1e-308); ``log10_jer`` carries it at any depth.
+    """
 
     jury: Jury
     jer: float
+    log10_jer: float
     total_cost: float
     juries_evaluated: int
     juries_pruned: int
@@ -137,38 +134,28 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
 
     Candidates are sorted by ascending error rate (ties by id) and every
     odd prefix is a candidate jury; monotonicity of the majority tail in
-    each member's error rate makes the best prefix globally optimal.  With
-    ``use_pruning`` the moment lower bound, when it applies, skips the
-    full tail evaluation of prefixes that provably cannot beat the best
-    jury found so far; pruning never changes the returned jury.
+    each member's error rate makes the best prefix globally optimal.
+    Prefixes nest, so one log tail row, advanced juror by juror, gives
+    every prefix's error rate.  With ``use_pruning`` the moment lower
+    bound, when it applies, skips reading the tail of prefixes that
+    provably cannot beat the best jury found so far; pruning never changes
+    the returned jury.
     """
     order = sorted(_candidates(pool), key=lambda j: (j.epsilon, j.id))
     eps = np.array([j.epsilon for j in order])
     n_max = eps.size if eps.size % 2 == 1 else eps.size - 1
 
-    # Deep-tail fallback row, advanced lazily.  Prefixes nest, so one
-    # rolling recurrence serves every fallback at O(N^2) total; its values
-    # are identical to a fresh per-prefix recurrence.
-    tail_row = np.zeros((n_max + 1) // 2 + 1)
-    tail_row[0] = 1.0
-    rows_done = 0
-
-    def recurrence_tail(n: int) -> float:
-        nonlocal rows_done
-        while rows_done < n:
-            e = eps[rows_done]
-            tail_row[1:] = tail_row[1:] * (1.0 - e) + tail_row[:-1] * e
-            rows_done += 1
-        return float(min(max(tail_row[(n + 1) // 2], 0.0), 1.0))
-
+    row = _empty_row((n_max + 1) // 2 + 1)
     best_n = 0
-    best_jer = math.inf
+    best_log = math.inf
     evaluated = 0
     pruned = 0
     mu = 0.0
     sigma_sq = 0.0
     for n in range(1, n_max + 1, 2):
         new = eps[max(n - 2, 0) : n]
+        for e in new:
+            _advance(row, e)
         mu += float(new.sum())
         sigma_sq += float((new * (1.0 - new)).sum())
         if use_pruning:
@@ -176,20 +163,19 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
             if 0.0 < gamma < 1.0:
                 lead = (1.0 - gamma) ** 2 * mu**2
                 bound = lead / (lead + sigma_sq)
-                if bound > best_jer:
+                # Compared in logs: best_log may lie below the float floor.
+                if math.log(bound) > best_log:
                     pruned += 1
                     continue
-        tail = jer_from_distribution(WrongCountDistribution(_cba(eps[:n])))
-        if tail < _DEEP_TAIL and n > 2 * DIRECT_CONVOLUTION_MAX:
-            tail = recurrence_tail(n)
         evaluated += 1
-        if tail < best_jer:
-            best_jer = tail
+        tail = float(row[(n + 1) // 2])
+        if tail < best_log:
+            best_log = tail
             best_n = n
 
     jury = Jury(tuple(order[:best_n]))
     cost = sum(j.requirement for j in jury.members)
-    return SolveResult(jury, best_jer, cost, evaluated, pruned)
+    return SolveResult(jury, math.exp(best_log), best_log / math.log(10), cost, evaluated, pruned)
 
 
 def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
@@ -201,6 +187,10 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     grows by two, keeping its size odd.  A buffered pair is admitted only
     when it still fits the budget and does not worsen the jury error rate;
     a pair still buffered when the scan ends is discarded.
+
+    The accepted jury's log tail row prices each trial pair in O(1): with
+    t the current majority threshold, the enlarged jury errs when the
+    pair's wrong votes (0, 1 or 2) lift the count to t + 1.
     """
     budget_amount = _amount(budget)
     order = sorted(
@@ -214,7 +204,9 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
 
     selected = [order[start]]
     spent = order[start].requirement
-    current = _selection_jer(np.array([order[start].epsilon]))
+    row = _empty_row(len(order) // 2 + 2)
+    _advance(row, order[start].epsilon)
+    current = float(row[1])
     evaluated = 1
     pending: Juror | None = None
     for candidate in order[start + 1 :]:
@@ -223,16 +215,21 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
                 pending = candidate
             continue
         if spent + pending.requirement + candidate.requirement <= budget_amount:
-            trial = selected + [pending, candidate]
-            trial_jer = _selection_jer(np.array([j.epsilon for j in trial]))
+            a, b = pending.epsilon, candidate.epsilon
+            t = (len(selected) + 1) // 2
+            pair = np.log([a * b, a * (1.0 - b) + (1.0 - a) * b, (1.0 - a) * (1.0 - b)])
+            trial = float(np.logaddexp.reduce(pair + row[t - 1 : t + 2]))
             evaluated += 1
-            if trial_jer <= current:
-                selected = trial
-                current = trial_jer
+            if trial <= current:
+                selected += [pending, candidate]
+                current = trial
                 spent += pending.requirement + candidate.requirement
+                _advance(row, a)
+                _advance(row, b)
                 pending = None
 
-    return SolveResult(Jury(tuple(selected)), current, spent, evaluated, 0)
+    jury = Jury(tuple(selected))
+    return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 
 
 class _SizeTable(NamedTuple):
@@ -338,7 +335,7 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     if best is None:
         raise NoAffordableJuror(f"no odd subset fits the budget {budget_amount}")
     members = tuple(order[i] for i in best_combo)
-    return SolveResult(Jury(members), best[0], best[1], evaluated, 0)
+    return SolveResult(Jury(members), best[0], math.log10(best[0]), best[1], evaluated, 0)
 
 
 def compare_results(test: SolveResult, truth: SolveResult) -> ResultComparison:

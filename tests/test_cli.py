@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -110,6 +111,22 @@ class TestCmdJer:
         assert main(["jer", str(path)]) == 2
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("row", ["B,nan,0", "B,0.2,inf"], ids=["nan-epsilon", "inf-requirement"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["jer"], ["solve", "--model", "altrm"], ["solve", "--model", "paym", "--budget", "1"]],
+        ids=["jer", "solve-altrm", "solve-paym"],
+    )
+    def test_exits_2_with_line_number(self, tmp_path, capsys, argv, row):
+        path = write_lines(tmp_path / "bad.csv", "id,epsilon,requirement", "A,0.1,0", row, "C,0.3,0")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:3: ")
+        assert "must be finite" in captured.err
+
+
 class TestCmdSolve:
     def test_altrm_motivating_pool(self, fig1_csv, capsys):
         assert main(["solve", str(fig1_csv), "--model", "altrm"]) == 0
@@ -124,6 +141,11 @@ class TestCmdSolve:
         assert sorted(payload["jury_ids"]) == ["B", "C", "D"]
         assert payload["jer"] == pytest.approx(0.136, abs=1e-9)
         assert payload["total_cost"] == pytest.approx(0.3)
+
+    def test_log10_jer_key(self, fig1_csv, capsys):
+        assert main(["solve", str(fig1_csv), "--model", "altrm"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["log10_jer"] == pytest.approx(math.log10(0.07036), abs=1e-9)
 
     def test_no_pruning_flag_keeps_result(self, fig1_csv, capsys):
         assert main(["solve", str(fig1_csv), "--model", "altrm", "--no-pruning"]) == 0

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ class TestAltrmTraits:
         assert len(rows) == 2
         by_mean = {float(r["epsilon_mean"]): int(r["optimal_jury_size"]) for r in rows}
         assert by_mean[0.7] < by_mean[0.2]
+
+    def test_log10_jer_column_survives_the_float_floor(self, tmp_path):
+        spec = ExperimentSpec(
+            "altrm-traits",
+            {"pool_size": 1000, "epsilon_means": [0.1, 0.5], "epsilon_stddevs": [0.1]},
+            seeds=(1,),
+            out=str(tmp_path / "deep.csv"),
+        )
+        rows = {float(r["epsilon_mean"]): r for r in read_rows(run_experiment(spec))}
+        assert float(rows[0.1]["jer"]) == 0.0
+        assert float(rows[0.1]["log10_jer"]) == pytest.approx(-477.926, abs=1e-3)
+        assert int(rows[0.1]["optimal_jury_size"]) == 177
+        shallow = rows[0.5]
+        assert float(shallow["log10_jer"]) == pytest.approx(math.log10(float(shallow["jer"])), abs=1e-12)
 
 
 class TestAltrmTiming:

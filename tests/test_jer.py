@@ -61,6 +61,13 @@ class TestJuror:
         with pytest.raises(ValueError):
             Juror("a", 0.2, requirement=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            Juror("a", value)
+        with pytest.raises(ValueError, match="requirement must be finite"):
+            Juror("a", 0.2, requirement=value)
+
 
 class TestJury:
     def test_even_size_rejected(self):

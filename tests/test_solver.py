@@ -14,7 +14,9 @@ from juryselect import (
     Juror,
     NoAffordableJuror,
     SizeLimitExceeded,
+    SynthConfig,
     compare_results,
+    gen_pool,
     jer_dp,
     solve_altrm,
     solve_oracle,
@@ -130,6 +132,60 @@ class TestSolveAltrm:
         assert jers[5] == pytest.approx(0.07036, abs=1e-9)
         assert jers[3] == pytest.approx(0.072, abs=1e-9)
         assert jers[7] == pytest.approx(0.085248, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def deep_pool_scan():
+    """A pool whose best juries err below the float floor (1e-308), and the
+    log10 JER of each of its odd prefixes from a 30-digit mpmath scan.
+
+    The scan is the all-positive recurrence for P(W >= l), advanced one
+    sorted juror at a time, so one row serves every prefix.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    pool = gen_pool(SynthConfig(1000, 0.1, 0.1, seed=1))
+    order = sorted(pool, key=lambda j: (j.epsilon, j.id))
+    half = len(order) // 2 + 1
+    log10_tails = {}
+    with mpmath.workdps(30):
+        row = [mpmath.mpf(1)] + [mpmath.mpf(0)] * half
+        for n, juror in enumerate(order, start=1):
+            e = mpmath.mpf(juror.epsilon)
+            for level in range(min(n, half), 0, -1):
+                row[level] = row[level] * (1 - e) + row[level - 1] * e
+            if n % 2:
+                log10_tails[n] = float(mpmath.log10(row[(n + 1) // 2]))
+    return pool, order, log10_tails
+
+
+class TestDeepTails:
+    def test_altrm_finds_the_optimum_below_the_float_floor(self, deep_pool_scan):
+        pool, _, log10_tails = deep_pool_scan
+        best = min(log10_tails, key=log10_tails.get)
+        assert best == 177
+        assert log10_tails[best] < -308
+        for use_pruning in (True, False):
+            result = solve_altrm(pool, use_pruning=use_pruning)
+            assert result.jury.size == best
+            assert abs(result.log10_jer - log10_tails[best]) <= 1e-9
+            assert result.jer == 0.0
+            assert result.juries_evaluated + result.juries_pruned == 500
+
+    def test_greedy_stops_where_the_error_rate_stops_falling(self, deep_pool_scan):
+        pool, order, log10_tails = deep_pool_scan
+        result = solve_paym_greedy(pool, 1.0)
+        assert result.jury.size == 177
+        assert result.member_ids == {j.id for j in order[:177]}
+        assert abs(result.log10_jer - log10_tails[177]) <= 1e-9
+        assert result.total_cost == 0.0
+
+    def test_log10_jer_matches_jer_above_the_floor(self, fig1_pool):
+        for result in (
+            solve_altrm(fig1_pool),
+            solve_paym_greedy(make_pool(PAYM_POOL), 0.5),
+            solve_oracle(make_pool(PAYM_POOL), 0.5),
+        ):
+            assert result.log10_jer == pytest.approx(math.log10(result.jer), abs=1e-12)
 
 
 class TestSolvePaymGreedy:
