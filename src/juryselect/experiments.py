@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .errors import InputFormatError
 from .estimate import RankConfig, build_graph, hits, pagerank, scores_to_error_rates, ages_to_requirements
@@ -53,6 +52,36 @@ _REQUIRED_PARAMS = {
     "rank-and-select": ("corpus", "methods", "budget_fractions"),
 }
 
+# Grid axes are lists of numbers and the other numeric parameters are
+# scalars; the counts among them must be integers.
+_GRID_AXES = (
+    "epsilon_means",
+    "epsilon_stddevs",
+    "pool_sizes",
+    "requirement_means",
+    "budgets",
+    "budget_fractions",
+)
+_SCALARS = (
+    "pool_size",
+    "epsilon_mean",
+    "epsilon_stddev",
+    "requirement_mean",
+    "requirement_stddev",
+    "top_k",
+    "damping",
+    "alpha",
+    "beta",
+)
+_COUNTS = ("pool_size", "pool_sizes", "top_k")
+
+
+def _fits(key: str, value) -> bool:
+    """Whether ``value`` is a finite number, and an integer where ``key`` is a count."""
+    kinds = int if key in _COUNTS else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value)
+
+
 _NEEDS_SEEDS = ("altrm-traits", "altrm-timing", "paym-traits", "paym-effectiveness")
 
 
@@ -76,6 +105,16 @@ class ExperimentSpec:
         for key, value in self.params.items():
             if isinstance(value, list) and not value:
                 raise InputFormatError(f"{self.kind}: parameter {key} must be non-empty")
+            number = "integer" if key in _COUNTS else "finite number"
+            if key in _GRID_AXES and not (isinstance(value, list) and all(_fits(key, v) for v in value)):
+                raise InputFormatError(f"{self.kind}: parameter {key} must be a list of {number}s")
+            if key in _SCALARS and not _fits(key, value):
+                raise InputFormatError(f"{self.kind}: parameter {key} must be a single {number}")
+        methods = self.params.get("methods", [])
+        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+            raise InputFormatError(f"{self.kind}: parameter methods must be a list of strings")
+        if not isinstance(self.params.get("corpus", ""), str):
+            raise InputFormatError(f"{self.kind}: parameter corpus must be a string")
         if self.kind in _NEEDS_SEEDS and not self.seeds:
             raise InputFormatError(f"{self.kind}: at least one seed required")
 
@@ -109,13 +148,6 @@ class ExperimentSpec:
         return cls.from_dict(obj, base_dir=path.parent)
 
 
-def _map_grid(worker: Callable, grid: list, parallel: bool) -> list:
-    if parallel and len(grid) > 1:
-        with ThreadPoolExecutor() as executor:
-            return list(executor.map(worker, grid))
-    return [worker(point) for point in grid]
-
-
 def _run_altrm_traits(spec: ExperimentSpec):
     p = spec.params
     grid = [
@@ -139,7 +171,7 @@ def _run_altrm_traits(spec: ExperimentSpec):
         }
 
     fields = ["epsilon_mean", "epsilon_stddev", "seed", "optimal_jury_size", "jer", "log10_jer"]
-    return fields, _map_grid(point, grid, parallel=True)
+    return fields, [point(args) for args in grid]
 
 
 def _run_altrm_timing(spec: ExperimentSpec):
@@ -168,8 +200,7 @@ def _run_altrm_timing(spec: ExperimentSpec):
         }
 
     fields = ["pool_size", "epsilon_stddev", "pruning", "seed", "seconds", "optimal_jury_size"]
-    # Wall-clock measurements; concurrency would contaminate them.
-    return fields, _map_grid(point, grid, parallel=False)
+    return fields, [point(args) for args in grid]
 
 
 def _run_paym_traits(spec: ExperimentSpec):
@@ -204,7 +235,7 @@ def _run_paym_traits(spec: ExperimentSpec):
         }
 
     fields = ["requirement_mean", "budget", "seed", "jer", "total_cost", "jury_size"]
-    return fields, _map_grid(point, grid, parallel=True)
+    return fields, [point(args) for args in grid]
 
 
 def _run_paym_effectiveness(spec: ExperimentSpec):
@@ -256,7 +287,7 @@ def _run_paym_effectiveness(spec: ExperimentSpec):
         "precision",
         "recall",
     ]
-    return fields, _map_grid(point, grid, parallel=True)
+    return fields, [point(args) for args in grid]
 
 
 def rank_candidates(
@@ -356,7 +387,7 @@ def _run_rank_and_select(spec: ExperimentSpec):
         "size_greedy",
         "size_oracle",
     ]
-    return fields, _map_grid(point, grid, parallel=True)
+    return fields, [point(args) for args in grid]
 
 
 _RUNNERS = {

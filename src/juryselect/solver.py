@@ -8,8 +8,9 @@ Two cost models:
   tail lower bound already exceeds the best error rate seen;
 * paid enrollment -- a jury is feasible only if its summed requirements
   fit a budget.  Exact selection is intractable, so ``solve_paym_greedy``
-  grows a jury in cheap pairs, and ``solve_oracle`` provides enumeration
-  ground truth for small pools.
+  grows a jury in cheap pairs, and ``solve_oracle`` provides exact
+  ground truth for pools of up to 22 candidates by meeting in the middle:
+  per-half subset tables, joined one pair of subset sizes at a time.
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so each keeps
 one rolling log tail row, ``row[l] = log P(W >= l)`` for the wrong-vote
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -32,9 +31,15 @@ import numpy as np
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
 from .jer import Juror, Jury
 
-# 2**22 subsets is where exhaustive enumeration stops being a usable
-# oracle; the published effectiveness experiments stop there too.
+# The oracle prices every one of the 2**(n-1) odd subsets, so its time
+# and memory double with each candidate; the published effectiveness
+# experiments stop at 22 candidates too.
 ORACLE_SIZE_MAX = 22
+
+# Relative width of the oracle's tie window: about 450 ulps, far above the
+# rounding noise between summation orders of one error rate and far below
+# any tolerance the error rates are compared at.
+_TIE_RTOL = 1e-13
 
 
 def _empty_row(length: int) -> np.ndarray:
@@ -232,77 +237,43 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 
 
-class _SizeTable(NamedTuple):
-    """All size-k subsets of one pool: member indices, tail probability, cost."""
+def _half_tables(half: tuple[Juror, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per subset size s = 0..len(half): index combos, wrong-count pmf rows, costs.
 
-    k: int
-    combos: np.ndarray  # (m, k) indices into the id-sorted candidate order
-    jer: np.ndarray  # (m,)
-    cost: np.ndarray  # (m,)
-
-
-def _jer_rows(eps_rows: np.ndarray) -> np.ndarray:
-    """Majority tail per row of error rates, all rows in lockstep."""
-    m, k = eps_rows.shape
-    threshold = (k + 1) // 2
-    row = np.zeros((m, threshold + 1))
-    row[:, 0] = 1.0
-    for j in range(k):
-        e = eps_rows[:, j : j + 1]
-        row[:, 1:] = row[:, 1:] * (1.0 - e) + row[:, :-1] * e
-    return row[:, threshold]
-
-
-def _build_tables(order: tuple[Juror, ...]) -> list[_SizeTable]:
-    n = len(order)
-    eps = np.array([j.epsilon for j in order])
-    req = np.array([j.requirement for j in order])
+    Combos come in lexicographic row order; pmf rows have s + 1 columns.
+    """
+    eps = np.array([j.epsilon for j in half])
+    req = np.array([j.requirement for j in half])
     tables = []
-    for k in range(1, n + 1, 2):
-        count = math.comb(n, k)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-            dtype=np.int16,
-            count=count * k,
-        )
-        combos = flat.reshape(count, k)
-        tables.append(
-            _SizeTable(
-                k=k,
-                combos=combos,
-                jer=_jer_rows(eps[combos]),
-                cost=req[combos].sum(axis=1),
-            )
-        )
+    for s in range(len(half) + 1):
+        combos = np.array(list(itertools.combinations(range(len(half)), s)), dtype=np.intp)
+        combos = combos.reshape(math.comb(len(half), s), s)
+        pmf = np.zeros((len(combos), s + 1))
+        pmf[:, 0] = 1.0
+        for col in combos.T:
+            e = eps[col][:, None]
+            pmf[:, 1:] = pmf[:, 1:] * (1.0 - e) + pmf[:, :-1] * e
+            pmf[:, :1] *= 1.0 - e
+        tables.append((combos, pmf, req[combos].sum(axis=1)))
     return tables
 
 
-# Repeated oracle calls on the same pool (budget sweeps) reuse the
-# enumeration; the tables for a 22-candidate pool take ~1s to build.
-_TABLE_CACHE: OrderedDict[tuple, list[_SizeTable]] = OrderedDict()
-_TABLE_CACHE_MAX = 4
-_TABLE_LOCK = threading.Lock()
-
-
-def _tables_for(order: tuple[Juror, ...]) -> list[_SizeTable]:
-    key = tuple((j.id, j.epsilon, j.requirement) for j in order)
-    with _TABLE_LOCK:
-        if key in _TABLE_CACHE:
-            _TABLE_CACHE.move_to_end(key)
-            return _TABLE_CACHE[key]
-        tables = _build_tables(order)
-        _TABLE_CACHE[key] = tables
-        if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-            _TABLE_CACHE.popitem(last=False)
-        return tables
-
-
 def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
-    """Exhaustive ground truth: the best odd, budget-feasible jury.
+    """Exact ground truth: the best odd, budget-feasible jury.
 
-    Enumerates every odd-sized subset with total cost within the budget
-    and returns one minimizing the jury error rate; ties fall to lower
-    cost, then smaller size, then lexicographically smallest member ids.
+    Meets in the middle (Horowitz & Sahni): the id-sorted pool splits into
+    halves A and B, and every subset of each half gets its wrong-count
+    pmf and cost.  The unions of a size-a subset of A with a size-b subset
+    of B, a + b = 2t - 1, form one block; the union errs when
+    W_A + W_B >= t, so the block's error rates are one matmul of A's pmf
+    rows against B's tail rows P(W_B >= t - w).  ``juries_evaluated``
+    counts the feasible odd subsets.
+
+    Every feasible jury whose float error rate is at most
+    ``low * (1 + 1e-13)``, with ``low`` the least one, counts as tied with
+    the minimum: equal error rates summed in different orders can differ
+    in the last ulps.  Among tied juries the lowest cost wins, then the
+    smallest size, then the lexicographically smallest member ids.
     Exponential in the pool size, hence capped at 22 candidates.  With all
     requirements zero and an unbounded budget this is the ground truth for
     ``solve_altrm`` as well.
@@ -313,29 +284,54 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         raise SizeLimitExceeded(f"oracle enumeration capped at {ORACLE_SIZE_MAX}, got {n}")
     budget_amount = _amount(budget)
 
-    # Id-sorted order makes combination row order the id-lexicographic
-    # order, so the first row among exact ties is the tie-break winner.
+    # Every index in A is below every index in B, so an (A part, B part)
+    # index tuple lists its members in id order.
     order = tuple(sorted(candidates, key=lambda j: j.id))
+    split = n // 2
+    combos_a, pmf_a, cost_a = zip(*_half_tables(order[:split]))
+    combos_b, pmf_b, cost_b = zip(*_half_tables(order[split:]))
+    # tails_b[b][r, j] = P(W_B >= j) for j = 0..b + 1, summed from the top.
+    tails_b = [
+        np.hstack([np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1], np.zeros((len(pmf), 1))])
+        for pmf in pmf_b
+    ]
+
+    def block(a, b):
+        t = (a + b + 1) // 2
+        jer = pmf_a[a] @ tails_b[b][:, np.clip(t - np.arange(a + 1), 0, b + 1)].T
+        cost = cost_a[a][:, None] + cost_b[b][None, :]
+        return jer, cost, cost <= budget_amount
+
     evaluated = 0
-    best: tuple[float, float] | None = None  # (jer, cost); sizes scan small-first
-    best_combo = None
-    for table in _tables_for(order):
-        feasible = np.flatnonzero(table.cost <= budget_amount)
-        if feasible.size == 0:
+    lows = {}
+    for a in range(split + 1):
+        for b in range(1 - a % 2, n - split + 1, 2):  # a + b odd
+            jer, _, feasible = block(a, b)
+            count = int(np.count_nonzero(feasible))
+            if count:
+                evaluated += count
+                lows[a, b] = float(np.min(jer, where=feasible, initial=math.inf))
+    if not lows:
+        raise NoAffordableJuror(f"no odd subset fits the budget {budget_amount}")
+
+    tied = min(lows.values()) * (1.0 + _TIE_RTOL)
+    best = None  # (cost, size, member indices, jer)
+    for (a, b), low in lows.items():
+        if low > tied:
             continue
-        evaluated += int(feasible.size)
-        # lexsort is stable, so among exact (jer, cost) ties the lowest row
-        # index, i.e. the id-lexicographic minimum, comes out first.
-        pick = feasible[np.lexsort((table.cost[feasible], table.jer[feasible]))[0]]
-        key = (float(table.jer[pick]), float(table.cost[pick]))
+        jer, cost, feasible = block(a, b)
+        # Row-major order within a block is id order, so argmin's first
+        # hit is the tie winner among equal costs.
+        pick = np.argmin(np.where(feasible & (jer <= tied), cost, np.inf))
+        i, j = np.unravel_index(pick, cost.shape)
+        indices = (*combos_a[a][i], *(split + combos_b[b][j]))
+        key = (float(cost[i, j]), a + b, indices, float(jer[i, j]))
         if best is None or key < best:
             best = key
-            best_combo = table.combos[pick]
 
-    if best is None:
-        raise NoAffordableJuror(f"no odd subset fits the budget {budget_amount}")
-    members = tuple(order[i] for i in best_combo)
-    return SolveResult(Jury(members), best[0], math.log10(best[0]), best[1], evaluated, 0)
+    total_cost, _, indices, jer = best
+    members = tuple(order[i] for i in indices)
+    return SolveResult(Jury(members), jer, math.log10(jer), total_cost, evaluated, 0)
 
 
 def compare_results(test: SolveResult, truth: SolveResult) -> ResultComparison:

@@ -327,5 +327,15 @@ class TestCmdExperiment:
         spec.write_text(json.dumps({"kind": "altrm-traits"}))
         assert main(["experiment", str(spec)]) == 2
 
+    @pytest.mark.parametrize(
+        "bad", [{"pool_size": "50"}, {"epsilon_means": 0.2}], ids=["string-size", "scalar-axis"]
+    )
+    def test_wrongly_typed_parameter_exits_2(self, tmp_path, capsys, bad):
+        params = {"pool_size": 50, "epsilon_means": [0.2], "epsilon_stddevs": [0.1]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "altrm-traits", "seeds": [1], **params, **bad}))
+        assert main(["experiment", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unreadable_spec_exits_2(self, tmp_path):
         assert main(["experiment", str(tmp_path / "missing.json")]) == 2

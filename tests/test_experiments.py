@@ -56,6 +56,27 @@ class TestSpecValidation:
                 (1,),
             )
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("altrm-traits", {"pool_size": "50", "epsilon_means": [0.2], "epsilon_stddevs": [0.1]}),
+            ("altrm-traits", {"pool_size": 50, "epsilon_means": 0.2, "epsilon_stddevs": [0.1]}),
+            ("altrm-traits", {"pool_size": 50, "epsilon_means": [0.2, "x"], "epsilon_stddevs": [0.1]}),
+            ("altrm-traits", {"pool_size": 50, "epsilon_means": [True], "epsilon_stddevs": [0.1]}),
+            ("altrm-traits", {"pool_size": 50.5, "epsilon_means": [0.2], "epsilon_stddevs": [0.1]}),
+            ("altrm-timing", {"pool_sizes": [50, 60.0], "epsilon_mean": 0.2, "epsilon_stddevs": [0.1]}),
+            ("altrm-timing", {"pool_sizes": [50], "epsilon_mean": float("nan"), "epsilon_stddevs": [0.1]}),
+            ("altrm-timing", {"pool_sizes": [50], "epsilon_mean": 0.2, "epsilon_stddevs": [float("inf")]}),
+            ("rank-and-select", {"corpus": "c.ndjson", "methods": "hits", "budget_fractions": [0.5]}),
+            ("rank-and-select", {"corpus": "c.ndjson", "methods": [1], "budget_fractions": [0.5]}),
+            ("rank-and-select", {"corpus": 3, "methods": ["hits"], "budget_fractions": [0.5]}),
+            ("rank-and-select", {"corpus": "c", "methods": ["hits"], "budget_fractions": [0.5], "top_k": "5"}),
+        ],
+    )
+    def test_wrongly_typed_parameters(self, kind, params):
+        with pytest.raises(InputFormatError):
+            ExperimentSpec(kind, params, (1,))
+
     def test_seeds_required_for_synthetic_kinds(self):
         with pytest.raises(InputFormatError):
             ExperimentSpec(

@@ -1,6 +1,8 @@
 """Selection algorithms: prefix-exact free model, budgeted greedy, enumeration truth."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +236,29 @@ class TestSolvePaymGreedy:
         assert result.total_cost <= budget + 1e-12
 
 
+def exact_oracle(pool, budget):
+    """The documented optimum in exact arithmetic, by plain enumeration.
+
+    Returns (jer, cost, size, ids) of the feasible odd jury that minimizes
+    exactly that key: error rate, then cost, then size, then id order.
+    """
+    order = sorted(pool, key=lambda j: j.id)
+    best = None
+    for k in range(1, len(order) + 1, 2):
+        for combo in itertools.combinations(order, k):
+            cost = sum(Fraction(j.requirement) for j in combo)
+            if cost > Fraction(budget):
+                continue
+            pmf = [Fraction(1)]
+            for juror in combo:
+                e = Fraction(juror.epsilon)
+                pmf = [p * (1 - e) + q * e for p, q in zip(pmf + [0], [0] + pmf)]
+            key = (sum(pmf[(k + 1) // 2 :]), cost, k, [j.id for j in combo])
+            if best is None or key < best:
+                best = key
+    return best
+
+
 class TestSolveOracle:
     def test_agrees_with_greedy_on_traced_pool(self):
         truth = solve_oracle(make_pool(PAYM_POOL), 0.5)
@@ -267,6 +292,41 @@ class TestSolveOracle:
         pool = [Juror("b", 0.2, 0.1), Juror("a", 0.2, 0.1)]
         truth = solve_oracle(pool, 1.0)
         assert sorted(truth.member_ids) == ["a"]
+
+    def test_smaller_jury_wins_a_tie(self):
+        # {a} and {a, b, c} both err with probability exactly 0.5, at cost 0.
+        pool = [Juror(i, 0.5) for i in "abc"]
+        truth = solve_oracle(pool, 1.0)
+        assert sorted(truth.member_ids) == ["a"]
+        assert truth.jer == 0.5
+
+    def test_matches_exact_enumeration_on_continuous_pools(self):
+        rng = np.random.default_rng(43)
+        for _ in range(150):
+            n = int(rng.integers(1, 10))
+            pool = [
+                Juror(f"j{i}", e, r)
+                for i, (e, r) in enumerate(zip(rng.uniform(0.05, 0.95, n), rng.uniform(0.0, 1.0, n)))
+            ]
+            budget = float(min(j.requirement for j in pool) + rng.uniform(0.0, n * 0.4))
+            jer, cost, _, ids = exact_oracle(pool, budget)
+            truth = solve_oracle(pool, budget)
+            assert sorted(truth.member_ids) == ids
+            assert abs(truth.jer - jer) <= 1e-12 * jer
+            assert truth.total_cost == pytest.approx(float(cost), abs=1e-12)
+
+    def test_exact_ties_follow_the_tie_rule_on_grid_pools(self):
+        # Few distinct error rates and binary-exact costs make many juries
+        # tie exactly; their float error rates may differ in the last ulps.
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = int(rng.integers(5, 10))
+            eps = rng.choice([0.1, 0.2, 0.3, 0.5], n)
+            req = rng.choice([0.0, 0.25, 0.5], n)
+            pool = [Juror(f"j{i}", e, r) for i, (e, r) in enumerate(zip(eps, req))]
+            budget = 0.25 * int(rng.integers(1, 2 * n))
+            _, _, _, ids = exact_oracle(pool, budget)
+            assert sorted(solve_oracle(pool, budget).member_ids) == ids
 
     def test_greedy_never_beats_oracle(self):
         rng = np.random.default_rng(41)
