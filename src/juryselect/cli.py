@@ -98,6 +98,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.top_k is not None and args.top_k < 1:
+        return _fail(EXIT_PARSE, f"--top-k must be at least 1, got {args.top_k}")
     config = RankConfig(
         damping=args.damping,
         max_iterations=args.max_iterations,
@@ -111,8 +113,7 @@ def _cmd_rank(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     except (DegenerateScores, EmptyGraph) as exc:
         return _fail(EXIT_DEGENERATE, str(exc))
-    if args.top_k is not None:
-        rows = rows[: args.top_k]
+    rows = rows[: args.top_k]
     if args.out:
         write_scores_csv(args.out, rows)
     else:

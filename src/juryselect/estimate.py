@@ -36,27 +36,75 @@ class TweetRecord:
             raise ValueError("tweet record needs a non-empty author")
 
 
-@dataclass(frozen=True)
 class UserGraph:
     """Directed retweet graph: edge (u, v) means u forwarded v's content.
 
-    Edges deduplicate by construction and self-forwards are dropped; both
-    would otherwise distort the rankings.
+    Held as ``names`` (sorted) plus ``src``/``dst`` index arrays into them,
+    one entry per edge in sorted pair order.  Edges deduplicate by
+    construction and self-forwards are dropped; both would otherwise
+    distort the rankings.  ``UserGraph(nodes, edges)`` builds one from
+    name collections and rejects an edge endpoint outside ``nodes``.
     """
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    __slots__ = ("names", "src", "dst")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset((u, v) for u, v in self.edges if u != v))
-        for u, v in self.edges:
-            if u not in self.nodes or v not in self.nodes:
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
+        names = sorted(set(nodes))
+        index = {name: i for i, name in enumerate(names)}
+        pairs = []
+        for u, v in edges:
+            if u not in index or v not in index:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside nodes")
+            pairs.append((index[u], index[v]))
+        ids = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        self._set(names, ids[:, 0], ids[:, 1])
+
+    @classmethod
+    def _indexed(cls, names: list[str], src: np.ndarray, dst: np.ndarray) -> "UserGraph":
+        """Graph over sorted ``names`` from (possibly repeated) index pairs."""
+        graph = cls.__new__(cls)
+        graph._set(names, src, dst)
+        return graph
+
+    def _set(self, names, src, dst) -> None:
+        # Keys src * n + dst sort in pair order, so one np.unique both
+        # deduplicates the edges and puts them in that order.
+        n = max(len(names), 1)
+        keep = src != dst
+        keys = np.unique(src[keep].astype(np.int64) * n + dst[keep])
+        object.__setattr__(self, "names", tuple(names))
+        for attr, column in zip(("src", "dst"), np.divmod(keys, n)):
+            column = column.astype(np.intp, copy=False)
+            column.flags.writeable = False
+            object.__setattr__(self, attr, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UserGraph is immutable; cannot set {name!r}")
+
+    @property
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        names = self.names
+        return frozenset((names[u], names[v]) for u, v in zip(self.src.tolist(), self.dst.tolist()))
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.names)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UserGraph):
+            return NotImplemented
+        return (
+            self.names == other.names
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+        )
+
+    def __repr__(self) -> str:
+        return f"UserGraph({self.node_count} nodes, {self.src.size} edges)"
 
 
 @dataclass(frozen=True)
@@ -106,30 +154,32 @@ def build_graph(corpus: Iterable[TweetRecord]) -> UserGraph:
 
     Every author becomes a node even without any forwarding relation;
     repeated pairs collapse to one edge and self-forwards are dropped.
+    One pass interns names to ints in order of first appearance; the ints
+    are then renumbered into sorted-name order.
     """
-    nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    src: list[int] = []
+    dst: list[int] = []
     for record in corpus:
-        nodes.add(record.author)
-        for u, v in parse_retweet_chains(record):
-            nodes.add(u)
-            nodes.add(v)
-            if u != v:
-                edges.add((u, v))
-    return UserGraph(frozenset(nodes), frozenset(edges))
+        prev = intern(record.author, len(index))
+        for name in _RETWEET_MARKER.findall(record.content):
+            here = intern(name, len(index))
+            src.append(prev)
+            dst.append(here)
+            prev = here
+    names = sorted(index)
+    position = np.empty(len(names), dtype=np.intp)
+    position[list(map(index.__getitem__, names))] = np.arange(len(names))
+    return UserGraph._indexed(
+        names, position[np.array(src, dtype=np.intp)], position[np.array(dst, dtype=np.intp)]
+    )
 
 
-def _index_graph(graph: UserGraph):
-    names = sorted(graph.nodes)
-    index = {name: i for i, name in enumerate(names)}
-    if graph.edges:
-        pairs = sorted(graph.edges)
-        src = np.array([index[u] for u, _ in pairs], dtype=np.intp)
-        dst = np.array([index[v] for _, v in pairs], dtype=np.intp)
-    else:
-        src = np.zeros(0, dtype=np.intp)
-        dst = np.zeros(0, dtype=np.intp)
-    return names, src, dst
+def _scatter(index: np.ndarray, weights: np.ndarray | None, n: int) -> np.ndarray:
+    """Per-node sums of ``weights`` (or counts), added in edge order."""
+    # bincount gives ints for an empty index; scores stay floats.
+    return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
 
 
 def hits(graph: UserGraph, config: RankConfig = RankConfig(), initial: float = 1.0) -> ScoreMap:
@@ -142,22 +192,20 @@ def hits(graph: UserGraph, config: RankConfig = RankConfig(), initial: float = 1
     the tolerance in L1, or at the iteration cap.  Authority is the
     quality score.
     """
-    if not graph.nodes:
+    if not graph.names:
         raise EmptyGraph("ranking needs at least one node")
     if not initial > 0.0:
         raise ValueError("initial score must be positive")
-    names, src, dst = _index_graph(graph)
+    names, src, dst = graph.names, graph.src, graph.dst
     n = len(names)
     authority = np.full(n, initial)
     hub = np.full(n, initial)
     for _ in range(config.max_iterations):
-        new_authority = np.zeros(n)
-        np.add.at(new_authority, dst, hub[src])
+        new_authority = _scatter(dst, hub[src], n)
         norm = np.linalg.norm(new_authority)
         if norm > 0.0:
             new_authority /= norm
-        new_hub = np.zeros(n)
-        np.add.at(new_hub, src, new_authority[dst])
+        new_hub = _scatter(src, new_authority[dst], n)
         norm = np.linalg.norm(new_hub)
         if norm > 0.0:
             new_hub /= norm
@@ -180,21 +228,18 @@ def pagerank(graph: UserGraph, config: RankConfig = RankConfig(), initial: float
     uniform 1/n (times ``initial``; the iteration contracts to the same
     fixpoint from any positive start).
     """
-    if not graph.nodes:
+    if not graph.names:
         raise EmptyGraph("ranking needs at least one node")
     if not initial > 0.0:
         raise ValueError("initial score must be positive")
-    names, src, dst = _index_graph(graph)
+    names, src, dst = graph.names, graph.src, graph.dst
     n = len(names)
-    out_degree = np.zeros(n)
-    np.add.at(out_degree, src, 1.0)
+    out_degree = _scatter(src, None, n)
     dangling = out_degree == 0.0
     score = np.full(n, initial / n)
     d = config.damping
     for _ in range(config.max_iterations):
-        inbound = np.zeros(n)
-        if src.size:
-            np.add.at(inbound, dst, score[src] / out_degree[src])
+        inbound = _scatter(dst, score[src] / out_degree[src], n)
         shared = score[dangling].sum() / n
         new_score = (1.0 - d) / n + d * (inbound + shared)
         moved = np.abs(new_score - score).sum()

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputFormatError
 from .estimate import RankConfig, build_graph, hits, pagerank, scores_to_error_rates, ages_to_requirements
 from .io import read_corpus
@@ -51,6 +53,7 @@ _REQUIRED_PARAMS = {
     ),
     "rank-and-select": ("corpus", "methods", "budget_fractions"),
 }
+_OPTIONAL_PARAMS = {"rank-and-select": ("top_k", "damping", "alpha", "beta")}
 
 # Grid axes are lists of numbers and the other numeric parameters are
 # scalars; the counts among them must be integers.
@@ -102,6 +105,10 @@ class ExperimentSpec:
         missing = [key for key in _REQUIRED_PARAMS[self.kind] if key not in self.params]
         if missing:
             raise InputFormatError(f"{self.kind}: missing parameters {', '.join(missing)}")
+        known = _REQUIRED_PARAMS[self.kind] + _OPTIONAL_PARAMS.get(self.kind, ())
+        unknown = sorted(key for key in self.params if key not in known)
+        if unknown:
+            raise InputFormatError(f"{self.kind}: unknown parameters {', '.join(unknown)}")
         for key, value in self.params.items():
             if isinstance(value, list) and not value:
                 raise InputFormatError(f"{self.kind}: parameter {key} must be non-empty")
@@ -110,6 +117,8 @@ class ExperimentSpec:
                 raise InputFormatError(f"{self.kind}: parameter {key} must be a list of {number}s")
             if key in _SCALARS and not _fits(key, value):
                 raise InputFormatError(f"{self.kind}: parameter {key} must be a single {number}")
+        if self.params.get("top_k", 1) < 1:
+            raise InputFormatError(f"{self.kind}: parameter top_k must be at least 1")
         methods = self.params.get("methods", [])
         if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
             raise InputFormatError(f"{self.kind}: parameter methods must be a list of strings")
@@ -301,22 +310,22 @@ def rank_candidates(
     the squashed error rate and the age-derived payment requirement (0 for
     users whose registration date never appears in the corpus).
     """
-    records = list(read_corpus(corpus_path))
-    graph = build_graph(records)
-    if method == "hits":
-        ranked = hits(graph, config)
-    elif method == "pagerank":
-        ranked = pagerank(graph, config)
-    else:
+    if method not in ("hits", "pagerank"):
         raise InputFormatError(f"unknown ranking method {method!r}")
-    epsilons = scores_to_error_rates(ranked, config)
-
     created: dict[str, float] = {}
-    for record in records:
-        if record.author_created_at is not None:
+
+    def records_noting_registration():
+        # Folds the earliest registration time per author into the one
+        # pass that builds the graph.
+        for record in read_corpus(corpus_path):
             stamp = record.author_created_at
-            if record.author not in created or stamp < created[record.author]:
+            if stamp is not None and stamp < created.get(record.author, math.inf):
                 created[record.author] = stamp
+            yield record
+
+    graph = build_graph(records_noting_registration())
+    ranked = hits(graph, config) if method == "hits" else pagerank(graph, config)
+    epsilons = scores_to_error_rates(ranked, config)
     requirements: dict[str, float] = {}
     if created:
         newest = max(created.values())
@@ -324,18 +333,20 @@ def rank_candidates(
             {user: newest - stamp for user, stamp in created.items()}
         )
 
-    rows = []
-    for user in sorted(ranked.scores, key=lambda u: (-ranked.scores[u], u)):
-        rows.append(
-            {
-                "username": user,
-                "score": ranked.scores[user],
-                "hub_score": None if ranked.hubs is None else ranked.hubs[user],
-                "epsilon": epsilons[user],
-                "requirement": requirements.get(user, 0.0),
-            }
-        )
-    return rows
+    # Scores are keyed in sorted-name order, so a stable sort on the
+    # negated score breaks ties by name.
+    users = list(ranked.scores)
+    order = np.argsort(-np.fromiter(ranked.scores.values(), float, len(users)), kind="stable")
+    return [
+        {
+            "username": user,
+            "score": ranked.scores[user],
+            "hub_score": None if ranked.hubs is None else ranked.hubs[user],
+            "epsilon": epsilons[user],
+            "requirement": requirements.get(user, 0.0),
+        }
+        for user in map(users.__getitem__, order.tolist())
+    ]
 
 
 def _run_rank_and_select(spec: ExperimentSpec):

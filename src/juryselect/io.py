@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -93,25 +94,29 @@ def write_pool_csv(path: str | Path, pool: CandidatePool | Sequence[Juror]) -> N
             writer.writerow([juror.id, repr(juror.epsilon), repr(juror.requirement)])
 
 
-def _parse_created_at(value, where: str) -> float | None:
+def _parse_created_at(value) -> float | None:
+    """Registration time in epoch seconds; ValueError if unusable."""
     if value is None:
         return None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
     if isinstance(value, str):
         text = value.strip()
         try:
-            return float(text)
+            stamp = float(text)
         except ValueError:
-            pass
-        try:
-            stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        except ValueError as exc:
-            raise CorpusError(f"{where}: bad author_created_at {value!r}") from exc
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=timezone.utc)
-        return stamp.timestamp()
-    raise CorpusError(f"{where}: bad author_created_at {value!r}")
+            try:
+                parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            except ValueError:
+                raise ValueError(f"bad author_created_at {value!r}") from None
+            if parsed.tzinfo is None:
+                parsed = parsed.replace(tzinfo=timezone.utc)
+            stamp = parsed.timestamp()
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        stamp = float(value)
+    else:
+        raise ValueError(f"bad author_created_at {value!r}")
+    if not math.isfinite(stamp):
+        raise ValueError(f"bad author_created_at {value!r}: must be finite")
+    return stamp
 
 
 def read_corpus(path: str | Path) -> Iterator[TweetRecord]:
@@ -121,28 +126,32 @@ def read_corpus(path: str | Path) -> Iterator[TweetRecord]:
         handle = open(path, encoding="utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
+    decode = json.JSONDecoder().raw_decode
     with handle:
         for index, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{index}"
             try:
-                obj = json.loads(line)
+                obj, end = decode(line)
+                if end != len(line):
+                    # Point at the extra data itself, as json.loads does.
+                    extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
+                    raise json.JSONDecodeError("Extra data", line, extra)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: invalid JSON: {exc}", index) from exc
+                raise CorpusError(f"{path}:{index}: invalid JSON: {exc}", index) from exc
             if not isinstance(obj, dict):
-                raise CorpusError(f"{where}: expected an object per line", index)
+                raise CorpusError(f"{path}:{index}: expected an object per line", index)
             author = obj.get("author")
             content = obj.get("content")
             if not isinstance(author, str) or not author:
-                raise CorpusError(f"{where}: missing or empty 'author'", index)
+                raise CorpusError(f"{path}:{index}: missing or empty 'author'", index)
             if not isinstance(content, str):
-                raise CorpusError(f"{where}: missing 'content'", index)
+                raise CorpusError(f"{path}:{index}: missing 'content'", index)
             try:
-                created = _parse_created_at(obj.get("author_created_at"), where)
-            except CorpusError as exc:
-                raise CorpusError(str(exc), index) from exc
+                created = _parse_created_at(obj.get("author_created_at"))
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{index}: {exc}", index) from exc
             yield TweetRecord(author=author, content=content, author_created_at=created)
 
 

@@ -32,7 +32,8 @@ EPSILON_CEIL = 1.0 - 1e-6
 # paths must agree within 1e-9, so the value only affects speed.
 DIRECT_CONVOLUTION_MAX = 64
 
-# 2**25 terms is a few seconds of vectorized work; past that the
+# 2**25 terms, summed as pairs of half-subsets, take a fraction of a
+# second; each further juror doubles that, so past the cap the
 # enumeration stops being a usable oracle.
 NAIVE_SIZE_MAX = 25
 
@@ -207,18 +208,26 @@ def jer_naive(jury: JuryLike) -> float:
     if n > NAIVE_SIZE_MAX:
         raise SizeLimitExceeded(f"naive enumeration capped at n = {NAIVE_SIZE_MAX}, got {n}")
     threshold = (n + 1) // 2
-    shifts = np.arange(n, dtype=np.int64)
+    # Meet in the middle: every subset of the jury is one subset of each
+    # half, so the sum runs over all pairs of half-subsets (A's rows in
+    # chunks, keeping each block near a million entries).
+    p_a, c_a = _subset_table(eps[: n // 2])
+    p_b, c_b = _subset_table(eps[n // 2 :])
+    rows = max(1, (1 << 20) // p_b.size)
     total = 0.0
-    chunk = 1 << 16
-    for lo in range(0, 1 << n, chunk):
-        masks = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
-        wrong = (masks[:, None] >> shifts) & 1
-        keep = wrong.sum(axis=1) >= threshold
-        if not keep.any():
-            continue
-        picked = wrong[keep].astype(bool)
-        total += float(np.where(picked, eps, 1.0 - eps).prod(axis=1).sum())
+    for lo in range(0, p_a.size, rows):
+        wrong = c_a[lo : lo + rows, None] + c_b[None, :] >= threshold
+        total += float(np.where(wrong, p_a[lo : lo + rows, None] * p_b[None, :], 0.0).sum())
     return min(max(total, 0.0), 1.0)
+
+
+def _subset_table(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probability and wrong count of each subset of ``eps`` voting wrong."""
+    prob, count = np.ones(1), np.zeros(1, dtype=np.int64)
+    for e in eps:
+        prob = np.concatenate([prob * (1.0 - e), prob * e])
+        count = np.concatenate([count, count + 1])
+    return prob, count
 
 
 def _tail_recurrence(eps: np.ndarray) -> float:

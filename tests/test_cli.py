@@ -201,6 +201,27 @@ class TestCmdRank:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("top_k", ["0", "-2"])
+    def test_top_k_below_one_exits_2(self, two_record_corpus, capsys, top_k):
+        assert main(["rank", str(two_record_corpus), "--top-k", top_k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--top-k" in captured.err
+
+    @pytest.mark.parametrize("stamp", ["NaN", "Infinity", "1e999", '"inf"'])
+    def test_non_finite_registration_time_exits_2(self, tmp_path, capsys, stamp):
+        path = tmp_path / "aged.ndjson"
+        path.write_text(
+            '{"author": "old", "content": "RT @young", "author_created_at": 1000}\n'
+            '{"author": "young", "content": "hi", "author_created_at": 2000}\n'
+            f'{{"author": "mid", "content": "RT @young", "author_created_at": {stamp}}}\n'
+        )
+        assert main(["rank", str(path), "--method", "pagerank"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ":3:" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_empty_corpus_exits_6(self, tmp_path):
         path = tmp_path / "empty.ndjson"
         path.write_text("")
@@ -336,6 +357,19 @@ class TestCmdExperiment:
         spec.write_text(json.dumps({"kind": "altrm-traits", "seeds": [1], **params, **bad}))
         assert main(["experiment", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", [{"top_k": 0}, {"top_k": -3}, {"dampng": 0.5}], ids=["top-k-0", "top-k-negative", "typo"]
+    )
+    def test_rank_and_select_spec_errors_exit_2(self, tmp_path, two_record_corpus, capsys, extra):
+        spec = tmp_path / "spec.json"
+        params = {"corpus": str(two_record_corpus), "methods": ["hits"], "budget_fractions": [0.5]}
+        spec.write_text(json.dumps({"kind": "rank-and-select", **params, **extra}))
+        assert main(["experiment", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert next(iter(extra)) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_unreadable_spec_exits_2(self, tmp_path):
         assert main(["experiment", str(tmp_path / "missing.json")]) == 2

@@ -5,6 +5,8 @@ stationary linear systems directly (exact rationals for PageRank's star:
 peripheral 10/47, center 27/47 at damping 0.85).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,79 @@ class TestBuildGraph:
         reference = build_graph(records)
         shuffled = build_graph([records[i] for i in order])
         assert shuffled == reference
+
+
+def random_corpus(seed, users=60, records=400):
+    """Seeded records: plain posts, one- and two-hop forwards, self-forwards
+    (also mid-chain, "a RT @a RT @b"), repeated pairs from a skewed target
+    choice, and a tenth of the users who never forward."""
+    rng = np.random.default_rng(seed)
+    names = [f"{'U' if i % 3 else 'u'}ser_{i}" for i in range(users)]
+    silent = set(range(0, users, 10))
+    weights = 1.0 / np.arange(1, users + 1) ** 1.2
+    weights /= weights.sum()
+    out = []
+    for _ in range(records):
+        a = int(rng.integers(users))
+        t, u = (int(x) for x in rng.choice(users, 2, p=weights))
+        kind = 0 if a in silent else int(rng.integers(5))
+        content = [
+            "plain words",
+            f"RT @{names[t]} wow",
+            f"so RT @{names[t]} and RT @{names[u]} original",
+            f"me again RT @{names[a]}",
+            f"RT @{names[a]} RT @{names[t]}",
+        ][kind]
+        out.append(TweetRecord(names[a], content))
+    return out
+
+
+def naive_graph(records):
+    nodes, edges = set(), set()
+    for record in records:
+        chain = [record.author, *re.findall(r"RT @(\w+)", record.content, re.ASCII)]
+        nodes.update(chain)
+        edges.update((u, v) for u, v in zip(chain, chain[1:]) if u != v)
+    return frozenset(nodes), frozenset(edges)
+
+
+class TestIndexedGraphEquivalence:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_build_graph_matches_naive_construction(self, seed):
+        records = random_corpus(seed)
+        nodes, edges = naive_graph(records)
+        graph = build_graph(records)
+        assert graph == UserGraph(nodes, edges)
+        assert graph.nodes == nodes
+        assert graph.edges == edges
+        assert list(graph.names) == sorted(nodes)
+        pairs = [(graph.names[u], graph.names[v]) for u, v in zip(graph.src, graph.dst)]
+        assert pairs == sorted(edges)
+
+    def test_endpoint_outside_nodes_rejected(self):
+        with pytest.raises(ValueError, match="outside nodes"):
+            UserGraph(frozenset({"a"}), frozenset({("a", "b")}))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scores_match_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        nodes, edges = naive_graph(random_corpus(seed))
+        graph = UserGraph(nodes, edges)
+        reference = nx.DiGraph()
+        reference.add_nodes_from(sorted(nodes))
+        reference.add_edges_from(sorted(edges))
+        config = RankConfig(max_iterations=10_000, tolerance=1e-14)
+
+        expected = nx.pagerank(reference, alpha=config.damping, max_iter=10_000, tol=1e-15)
+        got = pagerank(graph, config).scores
+        assert max(abs(got[u] - expected[u]) for u in nodes) <= 1e-8
+
+        # networkx scales HITS to unit sum; ours keeps unit L2 norm.
+        hubs, authorities = nx.hits(reference, max_iter=10_000, tol=1e-15)
+        ranked = hits(graph, config)
+        for ours, theirs in ((ranked.scores, authorities), (ranked.hubs, hubs)):
+            norm = np.linalg.norm(list(theirs.values()))
+            assert max(abs(ours[u] - theirs[u] / norm) for u in nodes) <= 1e-8
 
 
 class TestHits:

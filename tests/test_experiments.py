@@ -77,6 +77,35 @@ class TestSpecValidation:
         with pytest.raises(InputFormatError):
             ExperimentSpec(kind, params, (1,))
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("rank-and-select", {"corpus": "c", "methods": ["hits"], "budget_fractions": [0.5], "dampng": 0.5}),
+            ("altrm-traits", {"pool_size": 50, "epsilon_means": [0.2], "epsilon_stddevs": [0.1], "top_k": 5}),
+            ("paym-traits", {
+                "pool_size": 50, "epsilon_mean": 0.2, "epsilon_stddev": 0.1, "requirement_means": [0.5],
+                "requirement_stddev": 0.1, "budgets": [1.0], "budget": 1.0,
+            }),
+        ],
+        ids=["misspelt-optional", "optional-of-another-kind", "near-miss-of-required"],
+    )
+    def test_unknown_parameters_rejected(self, kind, params):
+        with pytest.raises(InputFormatError, match="unknown parameters"):
+            ExperimentSpec(kind, params, (1,))
+
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_top_k_below_one_rejected(self, top_k):
+        params = {"corpus": "c", "methods": ["hits"], "budget_fractions": [0.5], "top_k": top_k}
+        with pytest.raises(InputFormatError, match="top_k"):
+            ExperimentSpec("rank-and-select", params, ())
+
+    def test_every_optional_parameter_accepted(self):
+        params = {
+            "corpus": "c", "methods": ["hits"], "budget_fractions": [0.5],
+            "top_k": 1, "damping": 0.5, "alpha": 2.0, "beta": 3.0,
+        }
+        assert ExperimentSpec("rank-and-select", params, ()).params == params
+
     def test_seeds_required_for_synthetic_kinds(self):
         with pytest.raises(InputFormatError):
             ExperimentSpec(

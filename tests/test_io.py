@@ -118,6 +118,33 @@ class TestCorpus:
             list(read_corpus(path))
         assert err.value.record_index == 1
 
+    @pytest.mark.parametrize("stamp", ["NaN", "Infinity", "-Infinity", "1e999", '"inf"', '"nan"'])
+    def test_non_finite_timestamp_rejected_with_record_index(self, tmp_path, stamp):
+        path = tmp_path / "tweets.ndjson"
+        path.write_text(
+            '{"author": "a", "content": "x", "author_created_at": 1000}\n'
+            f'{{"author": "b", "content": "y", "author_created_at": {stamp}}}\n'
+        )
+        with pytest.raises(CorpusError) as err:
+            list(read_corpus(path))
+        assert err.value.record_index == 2
+        assert f"{path}:2:" in str(err.value)
+
+    def test_extra_data_after_object_rejected(self, tmp_path):
+        path = tmp_path / "tweets.ndjson"
+        path.write_text('{"author": "a", "content": "x"} {"author": "b", "content": "y"}\n')
+        with pytest.raises(CorpusError, match="Extra data") as err:
+            list(read_corpus(path))
+        assert err.value.record_index == 1
+
+    def test_reads_lazily(self, tmp_path):
+        path = tmp_path / "tweets.ndjson"
+        path.write_text('{"author": "a", "content": "x"}\nnot json\n')
+        records = read_corpus(path)
+        assert next(records).author == "a"
+        with pytest.raises(CorpusError):
+            next(records)
+
 
 class TestScoresCsv:
     def test_hub_column_blank_without_hubs(self, tmp_path):
