@@ -18,70 +18,53 @@ import sys
 from .errors import (
     DegenerateScores,
     EmptyGraph,
-    EmptyPool,
-    InputFormatError,
-    InvalidJury,
+    EvenSize,
+    JurySelectError,
     NoAffordableJuror,
     SizeLimitExceeded,
 )
 from .estimate import RankConfig
-from .experiments import ExperimentSpec, rank_candidates, run_experiment
+from .experiments import RANK_METHODS, ExperimentSpec, rank_candidates, run_experiment
 from .io import read_jurors_csv, read_pool_csv, write_pool_csv, write_scores_csv
 from .jer import Jury, jer_cba, jer_dp, jer_naive
 from .solver import solve_altrm, solve_paym_greedy
 from .synth import SynthConfig, gen_pool
 
-EXIT_PARSE = 2
-EXIT_EVEN_SIZE = 3
-EXIT_SIZE_CAP = 4
-EXIT_INFEASIBLE = 5
-EXIT_DEGENERATE = 6
+# Looked up along the raised exception's MRO, so the most specific class
+# wins.  ValueError covers bad numeric arguments (negative budget, damping
+# outside (0, 1), zero pool size); OSError covers unreadable or unwritable
+# paths.
+_EXIT_CODES = {
+    EvenSize: 3,
+    SizeLimitExceeded: 4,
+    NoAffordableJuror: 5,
+    DegenerateScores: 6,
+    EmptyGraph: 6,
+    JurySelectError: 2,
+    ValueError: 2,
+    OSError: 2,
+}
 
 _JER_ALGORITHMS = {"naive": jer_naive, "dp": jer_dp, "cba": jer_cba}
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _cmd_jer(args) -> None:
+    jurors = read_jurors_csv(args.input)
+    if len(jurors) % 2 == 0:  # also a header-only file
+        raise EvenSize(f"jury size must be odd, got {len(jurors)}")
+    print(f"{_JER_ALGORITHMS[args.algorithm](Jury(tuple(jurors))):.12f}")
 
 
-def _cmd_jer(args) -> int:
-    try:
-        jurors = read_jurors_csv(args.input)
-    except InputFormatError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    if len(jurors) % 2 == 0:
-        return _fail(EXIT_EVEN_SIZE, f"jury size must be odd, got {len(jurors)}")
-    try:
-        jury = Jury(tuple(jurors))
-    except InvalidJury as exc:  # odd size already checked; duplicate ids land here
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        value = _JER_ALGORITHMS[args.algorithm](jury)
-    except SizeLimitExceeded as exc:
-        return _fail(EXIT_SIZE_CAP, str(exc))
-    print(f"{value:.12f}")
-    return 0
-
-
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     if args.model == "paym" and args.budget is None:
-        return _fail(EXIT_PARSE, "--budget is required with --model paym")
+        raise ValueError("--budget is required with --model paym")
     if args.model == "altrm" and args.budget is not None:
-        return _fail(EXIT_PARSE, "--budget only applies to --model paym")
-    try:
-        pool = read_pool_csv(args.input)
-    except InputFormatError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        if args.model == "altrm":
-            result = solve_altrm(pool, use_pruning=not args.no_pruning)
-        else:
-            result = solve_paym_greedy(pool, args.budget)
-    except NoAffordableJuror as exc:
-        return _fail(EXIT_INFEASIBLE, str(exc))
-    except EmptyPool as exc:
-        return _fail(EXIT_PARSE, str(exc))
+        raise ValueError("--budget only applies to --model paym")
+    pool = read_pool_csv(args.input)
+    if args.model == "altrm":
+        result = solve_altrm(pool, use_pruning=not args.no_pruning)
+    else:
+        result = solve_paym_greedy(pool, args.budget)
     print(
         json.dumps(
             {
@@ -94,12 +77,11 @@ def _cmd_solve(args) -> int:
             }
         )
     )
-    return 0
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     if args.top_k is not None and args.top_k < 1:
-        return _fail(EXIT_PARSE, f"--top-k must be at least 1, got {args.top_k}")
+        raise ValueError(f"--top-k must be at least 1, got {args.top_k}")
     config = RankConfig(
         damping=args.damping,
         max_iterations=args.max_iterations,
@@ -107,37 +89,18 @@ def _cmd_rank(args) -> int:
         alpha=args.alpha,
         beta=args.beta,
     )
-    try:
-        rows = rank_candidates(args.corpus, args.method, config)
-    except InputFormatError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except (DegenerateScores, EmptyGraph) as exc:
-        return _fail(EXIT_DEGENERATE, str(exc))
-    rows = rows[: args.top_k]
-    if args.out:
-        write_scores_csv(args.out, rows)
-    else:
-        write_scores_csv(sys.stdout, rows)
-    return 0
+    rows = rank_candidates(args.corpus, args.method, config)[: args.top_k]
+    write_scores_csv(args.out or sys.stdout, rows)
 
 
-def _cmd_experiment(args) -> int:
-    try:
-        spec = ExperimentSpec.from_file(args.spec)
-        if args.seed is not None:
-            spec = ExperimentSpec(spec.kind, spec.params, (args.seed,), spec.out)
-        path = run_experiment(spec, out=args.out)
-    except InputFormatError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except NoAffordableJuror as exc:
-        return _fail(EXIT_INFEASIBLE, str(exc))
-    except (DegenerateScores, EmptyGraph) as exc:
-        return _fail(EXIT_DEGENERATE, str(exc))
-    print(path)
-    return 0
+def _cmd_experiment(args) -> None:
+    spec = ExperimentSpec.from_file(args.spec)
+    if args.seed is not None:
+        spec = ExperimentSpec(spec.kind, spec.params, (args.seed,), spec.out)
+    print(run_experiment(spec, out=args.out))
 
 
-def _cmd_gen_pool(args) -> int:
+def _cmd_gen_pool(args) -> None:
     config = SynthConfig(
         pool_size=args.pool_size,
         epsilon_mean=args.epsilon_mean,
@@ -149,7 +112,6 @@ def _cmd_gen_pool(args) -> int:
     pool = gen_pool(config)
     write_pool_csv(args.out, pool)
     print(args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="rank a tweet corpus into a user table")
     p_rank.add_argument("corpus", help="NDJSON corpus path")
-    p_rank.add_argument("--method", choices=["hits", "pagerank"], default="hits")
+    p_rank.add_argument("--method", choices=RANK_METHODS, default="hits")
     p_rank.add_argument("--damping", type=float, default=0.85)
     p_rank.add_argument("--max-iterations", type=int, default=100)
     p_rank.add_argument("--tolerance", type=float, default=1e-8)
@@ -203,14 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
-        # Bad numeric arguments (negative budget, damping outside (0,1),
-        # zero pool size) and unreadable/unwritable paths.
-        return _fail(EXIT_PARSE, str(exc))
+        args.handler(args)
+    except (JurySelectError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+    return 0
 
 
 def entry() -> None:  # console-script hook

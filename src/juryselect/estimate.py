@@ -9,6 +9,7 @@ requirements come separately from account ages via
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -124,10 +125,11 @@ class RankConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if not self.beta > 1.0:
-            raise ValueError("beta must exceed 1")
+        # An infinite alpha turns beta ** (-alpha * 0) into nan.
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError("beta must exceed 1 and be finite")
 
 
 @dataclass(frozen=True)

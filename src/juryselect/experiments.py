@@ -13,7 +13,9 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,73 +26,98 @@ from .jer import Juror
 from .solver import compare_results, solve_altrm, solve_oracle, solve_paym_greedy
 from .synth import SynthConfig, gen_pool
 
-EXPERIMENT_KINDS = (
-    "altrm-traits",
-    "altrm-timing",
-    "paym-traits",
-    "paym-effectiveness",
-    "rank-and-select",
-)
+RANK_METHODS = ("hits", "pagerank")
 
-_REQUIRED_PARAMS = {
-    "altrm-traits": ("pool_size", "epsilon_means", "epsilon_stddevs"),
-    "altrm-timing": ("pool_sizes", "epsilon_mean", "epsilon_stddevs"),
-    "paym-traits": (
-        "pool_size",
-        "epsilon_mean",
-        "epsilon_stddev",
-        "requirement_means",
-        "requirement_stddev",
-        "budgets",
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_integer(value) and value >= 1
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and bool(value) and all(map(check, value))
+
+
+# A parameter type: what it accepts, in words, and the check for it.
+_NUMBER = ("a finite number", _is_number)
+_COUNT = ("an integer >= 1", _is_count)
+_NUMBERS = ("a non-empty list of finite numbers", _list_of(_is_number))
+_COUNTS = ("a non-empty list of integers >= 1", _list_of(_is_count))
+_STRING = ("a string", lambda value: isinstance(value, str))
+_METHODS = (f"a non-empty list out of {', '.join(RANK_METHODS)}", _list_of(RANK_METHODS.__contains__))
+
+
+class _Schema(NamedTuple):
+    """Each parameter's type; a parameter without a default is required."""
+
+    types: dict
+    defaults: dict = {}
+    needs_seeds: bool = True
+
+
+_SCHEMAS = {
+    "altrm-traits": _Schema(
+        {"pool_size": _COUNT, "epsilon_means": _NUMBERS, "epsilon_stddevs": _NUMBERS}
     ),
-    "paym-effectiveness": (
-        "pool_size",
-        "epsilon_mean",
-        "epsilon_stddevs",
-        "requirement_mean",
-        "requirement_stddev",
-        "budgets",
+    "altrm-timing": _Schema(
+        {"pool_sizes": _COUNTS, "epsilon_mean": _NUMBER, "epsilon_stddevs": _NUMBERS}
     ),
-    "rank-and-select": ("corpus", "methods", "budget_fractions"),
+    "paym-traits": _Schema(
+        {
+            "pool_size": _COUNT,
+            "epsilon_mean": _NUMBER,
+            "epsilon_stddev": _NUMBER,
+            "requirement_means": _NUMBERS,
+            "requirement_stddev": _NUMBER,
+            "budgets": _NUMBERS,
+        }
+    ),
+    "paym-effectiveness": _Schema(
+        {
+            "pool_size": _COUNT,
+            "epsilon_mean": _NUMBER,
+            "epsilon_stddevs": _NUMBERS,
+            "requirement_mean": _NUMBER,
+            "requirement_stddev": _NUMBER,
+            "budgets": _NUMBERS,
+        }
+    ),
+    "rank-and-select": _Schema(
+        {
+            "corpus": _STRING,
+            "methods": _METHODS,
+            "budget_fractions": _NUMBERS,
+            "top_k": _COUNT,
+            "damping": _NUMBER,
+            "alpha": _NUMBER,
+            "beta": _NUMBER,
+        },
+        defaults={
+            "top_k": 20,
+            "damping": RankConfig.damping,
+            "alpha": RankConfig.alpha,
+            "beta": RankConfig.beta,
+        },
+        needs_seeds=False,
+    ),
 }
-_OPTIONAL_PARAMS = {"rank-and-select": ("top_k", "damping", "alpha", "beta")}
-
-# Grid axes are lists of numbers and the other numeric parameters are
-# scalars; the counts among them must be integers.
-_GRID_AXES = (
-    "epsilon_means",
-    "epsilon_stddevs",
-    "pool_sizes",
-    "requirement_means",
-    "budgets",
-    "budget_fractions",
-)
-_SCALARS = (
-    "pool_size",
-    "epsilon_mean",
-    "epsilon_stddev",
-    "requirement_mean",
-    "requirement_stddev",
-    "top_k",
-    "damping",
-    "alpha",
-    "beta",
-)
-_COUNTS = ("pool_size", "pool_sizes", "top_k")
-
-
-def _fits(key: str, value) -> bool:
-    """Whether ``value`` is a finite number, and an integer where ``key`` is a count."""
-    kinds = int if key in _COUNTS else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value)
-
-
-_NEEDS_SEEDS = ("altrm-traits", "altrm-timing", "paym-traits", "paym-effectiveness")
+EXPERIMENT_KINDS = tuple(_SCHEMAS)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment kind, its parameter grid, seeds and output path."""
+    """One experiment kind, its parameter grid, seeds and output path.
+
+    Construction checks every parameter against the kind's schema and
+    stores ``params`` with each omitted optional parameter at its default.
+    """
 
     kind: str
     params: dict
@@ -98,34 +125,29 @@ class ExperimentSpec:
     out: str = "experiment.csv"
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        schema = _SCHEMAS.get(self.kind)
+        if schema is None:
             raise InputFormatError(
                 f"unknown experiment kind {self.kind!r}; expected one of {', '.join(EXPERIMENT_KINDS)}"
             )
-        missing = [key for key in _REQUIRED_PARAMS[self.kind] if key not in self.params]
-        if missing:
-            raise InputFormatError(f"{self.kind}: missing parameters {', '.join(missing)}")
-        known = _REQUIRED_PARAMS[self.kind] + _OPTIONAL_PARAMS.get(self.kind, ())
-        unknown = sorted(key for key in self.params if key not in known)
+        unknown = sorted(key for key in self.params if key not in schema.types)
         if unknown:
             raise InputFormatError(f"{self.kind}: unknown parameters {', '.join(unknown)}")
-        for key, value in self.params.items():
-            if isinstance(value, list) and not value:
-                raise InputFormatError(f"{self.kind}: parameter {key} must be non-empty")
-            number = "integer" if key in _COUNTS else "finite number"
-            if key in _GRID_AXES and not (isinstance(value, list) and all(_fits(key, v) for v in value)):
-                raise InputFormatError(f"{self.kind}: parameter {key} must be a list of {number}s")
-            if key in _SCALARS and not _fits(key, value):
-                raise InputFormatError(f"{self.kind}: parameter {key} must be a single {number}")
-        if self.params.get("top_k", 1) < 1:
-            raise InputFormatError(f"{self.kind}: parameter top_k must be at least 1")
-        methods = self.params.get("methods", [])
-        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-            raise InputFormatError(f"{self.kind}: parameter methods must be a list of strings")
-        if not isinstance(self.params.get("corpus", ""), str):
-            raise InputFormatError(f"{self.kind}: parameter corpus must be a string")
-        if self.kind in _NEEDS_SEEDS and not self.seeds:
+        params = {**schema.defaults, **self.params}
+        missing = [key for key in schema.types if key not in params]
+        if missing:
+            raise InputFormatError(f"{self.kind}: missing parameters {', '.join(missing)}")
+        for key, (expected, check) in schema.types.items():
+            if not check(params[key]):
+                raise InputFormatError(f"{self.kind}: parameter {key} must be {expected}")
+        object.__setattr__(self, "params", params)
+        if not isinstance(self.seeds, (list, tuple)) or not all(map(_is_integer, self.seeds)):
+            raise InputFormatError("'seeds' must be a list of integers")
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        if schema.needs_seeds and not self.seeds:
             raise InputFormatError(f"{self.kind}: at least one seed required")
+        if not isinstance(self.out, str):
+            raise InputFormatError("'out' must be a string")
 
     @classmethod
     def from_dict(cls, obj: dict, base_dir: Path | None = None) -> "ExperimentSpec":
@@ -135,15 +157,12 @@ class ExperimentSpec:
         kind = obj.pop("kind", None)
         if not isinstance(kind, str):
             raise InputFormatError("experiment spec needs a string 'kind'")
-        out = obj.pop("out", "experiment.csv")
-        seeds = obj.pop("seeds", [])
-        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-            raise InputFormatError("'seeds' must be a list of integers")
+        fields = {key: obj.pop(key) for key in ("seeds", "out") if key in obj}
         if base_dir is not None:
             corpus = obj.get("corpus")
             if isinstance(corpus, str) and not Path(corpus).is_absolute():
                 obj["corpus"] = str(base_dir / corpus)
-        return cls(kind=kind, params=obj, seeds=tuple(seeds), out=str(out))
+        return cls(kind=kind, params=obj, **fields)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentSpec":
@@ -159,18 +178,9 @@ class ExperimentSpec:
 
 def _run_altrm_traits(spec: ExperimentSpec):
     p = spec.params
-    grid = [
-        (mean, stddev, seed)
-        for mean in p["epsilon_means"]
-        for stddev in p["epsilon_stddevs"]
-        for seed in spec.seeds
-    ]
-
-    def point(args):
-        mean, stddev, seed = args
-        pool = gen_pool(SynthConfig(p["pool_size"], mean, stddev, seed=seed))
-        result = solve_altrm(pool)
-        return {
+    for mean, stddev, seed in product(p["epsilon_means"], p["epsilon_stddevs"], spec.seeds):
+        result = solve_altrm(gen_pool(SynthConfig(p["pool_size"], mean, stddev, seed=seed)))
+        yield {
             "epsilon_mean": mean,
             "epsilon_stddev": stddev,
             "seed": seed,
@@ -179,27 +189,15 @@ def _run_altrm_traits(spec: ExperimentSpec):
             "log10_jer": result.log10_jer,
         }
 
-    fields = ["epsilon_mean", "epsilon_stddev", "seed", "optimal_jury_size", "jer", "log10_jer"]
-    return fields, [point(args) for args in grid]
-
 
 def _run_altrm_timing(spec: ExperimentSpec):
     p = spec.params
-    grid = [
-        (size, stddev, pruning, seed)
-        for size in p["pool_sizes"]
-        for stddev in p["epsilon_stddevs"]
-        for pruning in (0, 1)
-        for seed in spec.seeds
-    ]
-
-    def point(args):
-        size, stddev, pruning, seed = args
+    for size, stddev, pruning, seed in product(p["pool_sizes"], p["epsilon_stddevs"], (0, 1), spec.seeds):
         pool = gen_pool(SynthConfig(size, p["epsilon_mean"], stddev, seed=seed))
         started = time.perf_counter()
         result = solve_altrm(pool, use_pruning=bool(pruning))
         elapsed = time.perf_counter() - started
-        return {
+        yield {
             "pool_size": size,
             "epsilon_stddev": stddev,
             "pruning": pruning,
@@ -208,21 +206,10 @@ def _run_altrm_timing(spec: ExperimentSpec):
             "optimal_jury_size": result.jury.size,
         }
 
-    fields = ["pool_size", "epsilon_stddev", "pruning", "seed", "seconds", "optimal_jury_size"]
-    return fields, [point(args) for args in grid]
-
 
 def _run_paym_traits(spec: ExperimentSpec):
     p = spec.params
-    grid = [
-        (req_mean, budget, seed)
-        for req_mean in p["requirement_means"]
-        for budget in p["budgets"]
-        for seed in spec.seeds
-    ]
-
-    def point(args):
-        req_mean, budget, seed = args
+    for req_mean, budget, seed in product(p["requirement_means"], p["budgets"], spec.seeds):
         pool = gen_pool(
             SynthConfig(
                 p["pool_size"],
@@ -234,7 +221,7 @@ def _run_paym_traits(spec: ExperimentSpec):
             )
         )
         result = solve_paym_greedy(pool, budget)
-        return {
+        yield {
             "requirement_mean": req_mean,
             "budget": budget,
             "seed": seed,
@@ -243,23 +230,12 @@ def _run_paym_traits(spec: ExperimentSpec):
             "jury_size": result.jury.size,
         }
 
-    fields = ["requirement_mean", "budget", "seed", "jer", "total_cost", "jury_size"]
-    return fields, [point(args) for args in grid]
-
 
 def _run_paym_effectiveness(spec: ExperimentSpec):
     p = spec.params
     if p["pool_size"] > 22:
         raise InputFormatError("paym-effectiveness needs pool_size <= 22 for the enumeration baseline")
-    grid = [
-        (stddev, budget, seed)
-        for stddev in p["epsilon_stddevs"]
-        for budget in p["budgets"]
-        for seed in spec.seeds
-    ]
-
-    def point(args):
-        stddev, budget, seed = args
+    for stddev, budget, seed in product(p["epsilon_stddevs"], p["budgets"], spec.seeds):
         pool = gen_pool(
             SynthConfig(
                 p["pool_size"],
@@ -273,7 +249,7 @@ def _run_paym_effectiveness(spec: ExperimentSpec):
         greedy = solve_paym_greedy(pool, budget)
         truth = solve_oracle(pool, budget)
         comparison = compare_results(greedy, truth)
-        return {
+        yield {
             "epsilon_stddev": stddev,
             "budget": budget,
             "seed": seed,
@@ -284,19 +260,6 @@ def _run_paym_effectiveness(spec: ExperimentSpec):
             "precision": comparison.precision,
             "recall": comparison.recall,
         }
-
-    fields = [
-        "epsilon_stddev",
-        "budget",
-        "seed",
-        "jer_greedy",
-        "jer_oracle",
-        "cost_greedy",
-        "cost_oracle",
-        "precision",
-        "recall",
-    ]
-    return fields, [point(args) for args in grid]
 
 
 def rank_candidates(
@@ -310,7 +273,7 @@ def rank_candidates(
     the squashed error rate and the age-derived payment requirement (0 for
     users whose registration date never appears in the corpus).
     """
-    if method not in ("hits", "pagerank"):
+    if method not in RANK_METHODS:
         raise InputFormatError(f"unknown ranking method {method!r}")
     created: dict[str, float] = {}
 
@@ -351,31 +314,23 @@ def rank_candidates(
 
 def _run_rank_and_select(spec: ExperimentSpec):
     p = spec.params
-    top_k = int(p.get("top_k", 20))
-    if top_k > 22:
+    if p["top_k"] > 22:
         raise InputFormatError("rank-and-select needs top_k <= 22 for the enumeration baseline")
-    config = RankConfig(
-        damping=p.get("damping", 0.85),
-        alpha=p.get("alpha", 10.0),
-        beta=p.get("beta", 10.0),
-    )
+    config = RankConfig(damping=p["damping"], alpha=p["alpha"], beta=p["beta"])
     pools = {}
     for method in p["methods"]:
-        rows = rank_candidates(p["corpus"], method, config)[:top_k]
+        rows = rank_candidates(p["corpus"], method, config)[: p["top_k"]]
         pools[method] = tuple(
             Juror(row["username"], row["epsilon"], row["requirement"]) for row in rows
         )
 
-    grid = [(method, fraction) for method in p["methods"] for fraction in p["budget_fractions"]]
-
-    def point(args):
-        method, fraction = args
+    for method, fraction in product(p["methods"], p["budget_fractions"]):
         pool = pools[method]
         budget = fraction * sum(j.requirement for j in pool)
         greedy = solve_paym_greedy(pool, budget)
         truth = solve_oracle(pool, budget)
         comparison = compare_results(greedy, truth)
-        return {
+        yield {
             "method": method,
             "budget_fraction": fraction,
             "budget": budget,
@@ -386,19 +341,6 @@ def _run_rank_and_select(spec: ExperimentSpec):
             "size_greedy": greedy.jury.size,
             "size_oracle": truth.jury.size,
         }
-
-    fields = [
-        "method",
-        "budget_fraction",
-        "budget",
-        "jer_greedy",
-        "jer_oracle",
-        "precision",
-        "recall",
-        "size_greedy",
-        "size_oracle",
-    ]
-    return fields, [point(args) for args in grid]
 
 
 _RUNNERS = {
@@ -411,12 +353,16 @@ _RUNNERS = {
 
 
 def run_experiment(spec: ExperimentSpec, out: str | Path | None = None) -> Path:
-    """Run one experiment and write its CSV; returns the written path."""
-    fields, rows = _RUNNERS[spec.kind](spec)
+    """Run one experiment and write its CSV; returns the written path.
+
+    The columns are the first row's keys; a valid spec has at least one
+    grid point, and every row lists the same keys in the same order.
+    """
+    rows = list(_RUNNERS[spec.kind](spec))
     target = Path(out) if out is not None else Path(spec.out)
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     return target

@@ -69,6 +69,10 @@ def read_jurors_csv(path: str | Path) -> list[Juror]:
             requirement = float(req_text) if req_text else 0.0
         except ValueError as exc:
             raise InputFormatError(f"{path}:{line_no}: {exc}") from exc
+        # The clamp in Juror is for estimated rates at 0 or 1, not for
+        # typos; non-finite values get Juror's own message.
+        if math.isfinite(epsilon) and not 0.0 <= epsilon <= 1.0:
+            raise InputFormatError(f"{path}:{line_no}: epsilon {eps_text} outside [0, 1]")
         try:
             jurors.append(Juror(juror_id, epsilon, requirement))
         except ValueError as exc:

@@ -328,8 +328,14 @@ def jer_lower_bound(jury: JuryLike) -> BoundDiagnostics:
     mu = float(eps.sum())
     sigma_sq = float((eps * (1.0 - eps)).sum())
     gamma = ((n + 1) / 2) / mu
-    bound = None
-    if 0.0 < gamma < 1.0:
-        lead = (1.0 - gamma) ** 2 * mu**2
-        bound = lead / (lead + sigma_sq)
-    return BoundDiagnostics(mu=mu, sigma_sq=sigma_sq, gamma=gamma, bound=bound)
+    return BoundDiagnostics(mu=mu, sigma_sq=sigma_sq, gamma=gamma, bound=_moment_bound(n, mu, sigma_sq))
+
+
+def _moment_bound(n: int, mu: float, sigma_sq: float) -> float | None:
+    """Paley-Zygmund lower bound on an n-juror tail with wrong-count mean mu
+    and variance sigma_sq; None outside the window 0 < gamma < 1."""
+    gamma = ((n + 1) / 2) / mu
+    if not 0.0 < gamma < 1.0:
+        return None
+    lead = (1.0 - gamma) ** 2 * mu**2
+    return lead / (lead + sigma_sq)

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import Juror, Jury
+from .jer import Juror, Jury, _moment_bound
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
 # and memory double with each candidate; the published effectiveness
@@ -164,14 +164,11 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
         mu += float(new.sum())
         sigma_sq += float((new * (1.0 - new)).sum())
         if use_pruning:
-            gamma = ((n + 1) / 2) / mu
-            if 0.0 < gamma < 1.0:
-                lead = (1.0 - gamma) ** 2 * mu**2
-                bound = lead / (lead + sigma_sq)
-                # Compared in logs: best_log may lie below the float floor.
-                if math.log(bound) > best_log:
-                    pruned += 1
-                    continue
+            bound = _moment_bound(n, mu, sigma_sq)
+            # Compared in logs: best_log may lie below the float floor.
+            if bound is not None and math.log(bound) > best_log:
+                pruned += 1
+                continue
         evaluated += 1
         tail = float(row[(n + 1) // 2])
         if tail < best_log:

@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, exit codes, and file round trips."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juryselect.cli import main
 
@@ -127,6 +131,23 @@ class TestNonFiniteInput:
         assert "must be finite" in captured.err
 
 
+class TestOutOfRangeEpsilon:
+    @pytest.mark.parametrize("epsilon", ["-3", "1.5", "-1e-9"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["jer"], ["solve", "--model", "altrm"], ["solve", "--model", "paym", "--budget", "1"]],
+        ids=["jer", "solve-altrm", "solve-paym"],
+    )
+    def test_exits_2_with_line_number(self, tmp_path, capsys, argv, epsilon):
+        rows = ["A,0.1,0", f"B,{epsilon},0", "C,0.3,0"]
+        path = write_lines(tmp_path / "bad.csv", "id,epsilon,requirement", *rows)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:3: ")
+        assert "outside [0, 1]" in captured.err
+
+
 class TestCmdSolve:
     def test_altrm_motivating_pool(self, fig1_csv, capsys):
         assert main(["solve", str(fig1_csv), "--model", "altrm"]) == 0
@@ -229,6 +250,13 @@ class TestCmdRank:
 
     def test_bad_damping_exits_2(self, two_record_corpus):
         assert main(["rank", str(two_record_corpus), "--damping", "1.5"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_infinite_squash_parameter_exits_2(self, two_record_corpus, capsys, flag):
+        assert main(["rank", str(two_record_corpus), flag, "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[2:] in captured.err
 
     def test_malformed_record_exits_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.ndjson"
@@ -349,7 +377,9 @@ class TestCmdExperiment:
         assert main(["experiment", str(spec)]) == 2
 
     @pytest.mark.parametrize(
-        "bad", [{"pool_size": "50"}, {"epsilon_means": 0.2}], ids=["string-size", "scalar-axis"]
+        "bad",
+        [{"pool_size": "50"}, {"epsilon_means": 0.2}, {"out": None}, {"seeds": [True]}],
+        ids=["string-size", "scalar-axis", "null-out", "boolean-seed"],
     )
     def test_wrongly_typed_parameter_exits_2(self, tmp_path, capsys, bad):
         params = {"pool_size": 50, "epsilon_means": [0.2], "epsilon_stddevs": [0.1]}
@@ -359,7 +389,9 @@ class TestCmdExperiment:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra", [{"top_k": 0}, {"top_k": -3}, {"dampng": 0.5}], ids=["top-k-0", "top-k-negative", "typo"]
+        "extra",
+        [{"top_k": 0}, {"top_k": -3}, {"dampng": 0.5}, {"methods": ["hits", "foo"]}],
+        ids=["top-k-0", "top-k-negative", "typo", "unknown-method"],
     )
     def test_rank_and_select_spec_errors_exit_2(self, tmp_path, two_record_corpus, capsys, extra):
         spec = tmp_path / "spec.json"
@@ -373,3 +405,152 @@ class TestCmdExperiment:
 
     def test_unreadable_spec_exits_2(self, tmp_path):
         assert main(["experiment", str(tmp_path / "missing.json")]) == 2
+
+
+def mostly(valid, junk):
+    """Draws from ``valid`` three times in four, else from ``junk``."""
+    return st.integers(0, 3).flatmap(lambda pick: valid if pick else junk)
+
+
+@st.composite
+def with_one_bad(draw, items, bad):
+    """A list drawn from ``items``; three times in four one ``bad`` entry is inserted."""
+    drawn = draw(items)
+    if draw(st.integers(0, 3)):
+        drawn.insert(draw(st.integers(0, len(drawn))), draw(bad))
+    return drawn
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+)
+_JUNK_VALUE = st.one_of(
+    _JUNK, st.lists(_JUNK, max_size=3), st.dictionaries(st.text(max_size=3), _JUNK, max_size=2)
+)
+_RATE = st.floats(0, 1).map(repr)
+_BAD_FIELD = st.one_of(
+    st.sampled_from(["-3", "1.5", "nan", "inf", "1e999", "", "x"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4),
+)
+_POOL_ROWS = st.lists(
+    st.tuples(st.text("abcdefgh", min_size=1, max_size=3), _RATE, _RATE),
+    max_size=30,
+    unique_by=lambda row: row[0],
+).map(lambda rows: [",".join(row) for row in rows])
+_BAD_ROW = st.lists(st.one_of(_RATE, _BAD_FIELD), max_size=4).map(",".join)
+_NAME = st.sampled_from(["a", "b", "c", "d", "e"])
+_CHAIN = st.lists(_NAME, max_size=3).map(lambda names: " ".join(f"RT @{n}" for n in names))
+_RECORD = st.fixed_dictionaries(
+    {"author": _NAME, "content": _CHAIN}, optional={"author_created_at": st.integers(0, 2000)}
+).map(json.dumps)
+_BAD_LINE = st.one_of(
+    st.fixed_dictionaries(
+        {"author": st.one_of(_NAME, _JUNK), "content": st.one_of(_CHAIN, _JUNK)},
+        optional={"author_created_at": st.one_of(_JUNK, st.just("2012-01-01T00:00:00Z"))},
+    ).map(json.dumps),
+    st.sampled_from(["{broken", "[]", "3", "null"]),
+    st.text(max_size=8),
+)
+# One small valid spec per kind; the fuzz drops keys from it or replaces
+# their values with junk.  Junk integers stay at or below 30, so no example
+# builds a large pool.
+_SPECS = {
+    "altrm-traits": {"pool_size": 15, "epsilon_means": [0.2], "epsilon_stddevs": [0.1], "seeds": [1]},
+    "altrm-timing": {"pool_sizes": [9], "epsilon_mean": 0.3, "epsilon_stddevs": [0.1], "seeds": [1]},
+    "paym-traits": {
+        "pool_size": 15, "epsilon_mean": 0.2, "epsilon_stddev": 0.1, "requirement_means": [0.4],
+        "requirement_stddev": 0.2, "budgets": [0.5], "seeds": [1],
+    },
+    "paym-effectiveness": {
+        "pool_size": 8, "epsilon_mean": 0.2, "epsilon_stddevs": [0.1], "requirement_mean": 0.1,
+        "requirement_stddev": 0.2, "budgets": [0.5], "seeds": [1],
+    },
+    "rank-and-select": {"methods": ["hits"], "budget_fractions": [0.5], "top_k": 5, "alpha": 10},
+}
+_SPEC_KEYS = sorted(
+    {key for spec in _SPECS.values() for key in spec} | {"kind", "out", "corpus", "damping", "dampng"}
+)
+
+
+class TestMalformedInputFuzz:
+    """Whatever the input files hold, ``main`` returns a documented exit code
+    and no exception escapes as a traceback."""
+
+    @staticmethod
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(arg) for arg in argv])
+        assert code in {0, 2, 3, 4, 5, 6}
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        header=mostly(
+            st.just("id,epsilon,requirement"),
+            st.sampled_from(["username,score,hub_score,epsilon,requirement", "id,eps", ""]),
+        ),
+        rows=with_one_bad(_POOL_ROWS, _BAD_ROW),
+        command=st.one_of(
+            st.sampled_from(["dp", "cba", "naive"]).map(lambda algorithm: ["jer", "--algorithm", algorithm]),
+            st.just(["solve", "--model", "altrm"]),
+            st.sampled_from(["0", "0.5", "2", "-1", "nan", "inf"]).map(
+                lambda budget: ["solve", "--model", "paym", "--budget", budget]
+            ),
+        ),
+    )
+    def test_pool_csv(self, tmp_path_factory, header, rows, command):
+        path = tmp_path_factory.mktemp("csv") / "pool.csv"
+        path.write_bytes("\n".join([header, *rows]).encode("utf-8", "surrogatepass"))
+        self.check([command[0], path, *command[1:]])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        lines=with_one_bad(st.lists(_RECORD, max_size=8), _BAD_LINE),
+        method=st.sampled_from(["hits", "pagerank"]),
+        flags=st.lists(
+            st.one_of(
+                st.tuples(st.just("--top-k"), st.integers(-2, 22)),
+                st.tuples(
+                    st.sampled_from(["--alpha", "--beta", "--damping"]),
+                    st.sampled_from(["-1", "0", "0.5", "10", "inf", "nan"]),
+                ),
+            ),
+            max_size=2,
+        ),
+    )
+    def test_corpus(self, tmp_path_factory, lines, method, flags):
+        path = tmp_path_factory.mktemp("ndjson") / "corpus.ndjson"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+        self.check(["rank", path, "--method", method, *(text for flag in flags for text in flag)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from([*_SPECS, "nonsense"]),
+        # Each change drops a key or sets it to a junk value.
+        changes=mostly(
+            st.just([]),
+            st.lists(st.tuples(st.sampled_from(_SPEC_KEYS), st.booleans(), _JUNK_VALUE), min_size=1, max_size=2),
+        ),
+        raw=mostly(st.none(), st.text(max_size=12)),
+    )
+    def test_spec(self, tmp_path_factory, kind, changes, raw):
+        work = tmp_path_factory.mktemp("spec")
+        spec = {"kind": kind, **_SPECS.get(kind, {})}
+        if kind == "rank-and-select":
+            records = [json.dumps({"author": a, "content": f"RT @{b}"}) for a, b in ["ab", "ca", "da", "bc"]]
+            spec["corpus"] = str(write_lines(work / "corpus.ndjson", *records))
+        for key, drop, value in changes:
+            if drop:
+                spec.pop(key, None)
+            else:
+                spec[key] = value
+        path = work / "spec.json"
+        path.write_bytes((json.dumps(spec) if raw is None else raw).encode("utf-8", "surrogatepass"))
+        self.check(["experiment", path, "--out", work / "out.csv"])

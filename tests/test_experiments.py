@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from juryselect import ExperimentSpec, InputFormatError, run_experiment
 from juryselect.estimate import TweetRecord
 from juryselect.io import write_corpus
+
+DEMO_SPECS = sorted((Path(__file__).parent.parent / "demos" / "experiment_specs").glob("*.json"))
 
 
 def read_rows(path):
@@ -130,6 +133,11 @@ class TestSpecValidation:
         )
         spec = ExperimentSpec.from_file(spec_path)
         assert spec.params["corpus"] == str(corpus)
+
+    @pytest.mark.parametrize("path", DEMO_SPECS, ids=[path.stem for path in DEMO_SPECS])
+    def test_demo_spec_loads(self, path):
+        spec = ExperimentSpec.from_file(path)
+        assert spec.out == f"{path.stem}.csv"
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -41,6 +41,18 @@ class TestPoolCsv:
             read_jurors_csv(path)
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("epsilon", ["-3", "-0.5", "1.0000001", "2"])
+    def test_epsilon_outside_unit_interval_rejected_with_line(self, tmp_path, epsilon):
+        path = tmp_path / "pool.csv"
+        path.write_text(f"id,epsilon,requirement\na,0.1,0\nb,{epsilon},0\n")
+        with pytest.raises(InputFormatError, match=f":3: epsilon {epsilon} outside"):
+            read_jurors_csv(path)
+
+    def test_epsilon_at_the_unit_bounds_is_clamped(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("id,epsilon,requirement\na,0,0\nb,1,0\nc,-0.0,0\n")
+        assert [j.epsilon for j in read_jurors_csv(path)] == [1e-6, 1 - 1e-6, 1e-6]
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "pool.csv"
         path.write_text("id,epsilon,requirement\na,0.1\n")
