@@ -136,11 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="rank a tweet corpus into a user table")
     p_rank.add_argument("corpus", help="NDJSON corpus path")
     p_rank.add_argument("--method", choices=RANK_METHODS, default="hits")
-    p_rank.add_argument("--damping", type=float, default=0.85)
-    p_rank.add_argument("--max-iterations", type=int, default=100)
-    p_rank.add_argument("--tolerance", type=float, default=1e-8)
-    p_rank.add_argument("--alpha", type=float, default=10.0)
-    p_rank.add_argument("--beta", type=float, default=10.0)
+    p_rank.add_argument("--damping", type=float, default=RankConfig.damping)
+    p_rank.add_argument("--max-iterations", type=int, default=RankConfig.max_iterations)
+    p_rank.add_argument("--tolerance", type=float, default=RankConfig.tolerance)
+    p_rank.add_argument("--alpha", type=float, default=RankConfig.alpha)
+    p_rank.add_argument("--beta", type=float, default=RankConfig.beta)
     p_rank.add_argument("--top-k", type=int, default=None)
     p_rank.add_argument("--out", default=None)
     p_rank.set_defaults(handler=_cmd_rank)
@@ -155,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--pool-size", type=int, required=True)
     p_gen.add_argument("--epsilon-mean", type=float, required=True)
     p_gen.add_argument("--epsilon-stddev", type=float, required=True)
-    p_gen.add_argument("--requirement-mean", type=float, default=0.0)
-    p_gen.add_argument("--requirement-stddev", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--requirement-mean", type=float, default=SynthConfig.requirement_mean)
+    p_gen.add_argument("--requirement-stddev", type=float, default=SynthConfig.requirement_stddev)
+    p_gen.add_argument("--seed", type=int, default=SynthConfig.seed)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(handler=_cmd_gen_pool)
 

@@ -12,29 +12,24 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
 from .errors import DegenerateScores, EmptyGraph
-from .jer import EPSILON_CEIL, EPSILON_FLOOR
+from .jer import clamp_epsilon
 
 # Handles are runs of ASCII letters, digits and underscore after the
 # forwarding marker; matching is case-sensitive.
 _RETWEET_MARKER = re.compile(r"RT @(\w+)", re.ASCII)
 
 
-@dataclass(frozen=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     """One corpus record: who posted what, and optionally when they registered."""
 
     author: str
     content: str
     author_created_at: float | None = None
-
-    def __post_init__(self):
-        if not self.author:
-            raise ValueError("tweet record needs a non-empty author")
 
 
 class UserGraph:
@@ -184,24 +179,21 @@ def _scatter(index: np.ndarray, weights: np.ndarray | None, n: int) -> np.ndarra
     return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
 
 
-def hits(graph: UserGraph, config: RankConfig = RankConfig(), initial: float = 1.0) -> ScoreMap:
+def hits(graph: UserGraph, config: RankConfig = RankConfig()) -> ScoreMap:
     """Authority and hub scores by mutual reinforcement.
 
     authority[v] = sum of hub over in-neighbours, then hub[u] = sum of the
     fresh authority over out-neighbours, each L2-normalized after its
-    update.  Starts from all ones (times ``initial``; any positive start
-    yields the same ranking) and stops once both vectors move less than
-    the tolerance in L1, or at the iteration cap.  Authority is the
-    quality score.
+    update.  Starts from all ones (any positive start yields the same
+    ranking) and stops once both vectors move less than the tolerance in
+    L1, or at the iteration cap.  Authority is the quality score.
     """
     if not graph.names:
         raise EmptyGraph("ranking needs at least one node")
-    if not initial > 0.0:
-        raise ValueError("initial score must be positive")
     names, src, dst = graph.names, graph.src, graph.dst
     n = len(names)
-    authority = np.full(n, initial)
-    hub = np.full(n, initial)
+    authority = np.ones(n)
+    hub = np.ones(n)
     for _ in range(config.max_iterations):
         new_authority = _scatter(dst, hub[src], n)
         norm = np.linalg.norm(new_authority)
@@ -221,24 +213,21 @@ def hits(graph: UserGraph, config: RankConfig = RankConfig(), initial: float = 1
     )
 
 
-def pagerank(graph: UserGraph, config: RankConfig = RankConfig(), initial: float = 1.0) -> ScoreMap:
+def pagerank(graph: UserGraph, config: RankConfig = RankConfig()) -> ScoreMap:
     """Random-surfer scores with uniform redistribution of dangling mass.
 
     score[u] = (1-d)/n + d * (sum over in-neighbours of score/outdegree
     plus the pooled score of out-degree-zero nodes spread over everyone),
     which keeps the total mass at exactly 1 every iteration.  The start is
-    uniform 1/n (times ``initial``; the iteration contracts to the same
-    fixpoint from any positive start).
+    uniform 1/n; any positive start contracts to the same fixpoint.
     """
     if not graph.names:
         raise EmptyGraph("ranking needs at least one node")
-    if not initial > 0.0:
-        raise ValueError("initial score must be positive")
     names, src, dst = graph.names, graph.src, graph.dst
     n = len(names)
     out_degree = _scatter(src, None, n)
     dangling = out_degree == 0.0
-    score = np.full(n, initial / n)
+    score = np.full(n, 1.0 / n)
     d = config.damping
     for _ in range(config.max_iterations):
         inbound = _scatter(dst, score[src] / out_degree[src], n)
@@ -270,7 +259,7 @@ def scores_to_error_rates(
         raise DegenerateScores("all quality scores identical; no ranking information")
     span = high - low
     return {
-        user: min(max(config.beta ** (-config.alpha * (value - low) / span), EPSILON_FLOOR), EPSILON_CEIL)
+        user: clamp_epsilon(config.beta ** (-config.alpha * (value - low) / span))
         for user, value in table.items()
     }
 

@@ -23,7 +23,7 @@ from .errors import InputFormatError
 from .estimate import RankConfig, build_graph, hits, pagerank, scores_to_error_rates, ages_to_requirements
 from .io import read_corpus
 from .jer import Juror
-from .solver import compare_results, solve_altrm, solve_oracle, solve_paym_greedy
+from .solver import ORACLE_SIZE_MAX, compare_results, solve_altrm, solve_oracle, solve_paym_greedy
 from .synth import SynthConfig, gen_pool
 
 RANK_METHODS = ("hits", "pagerank")
@@ -233,8 +233,10 @@ def _run_paym_traits(spec: ExperimentSpec):
 
 def _run_paym_effectiveness(spec: ExperimentSpec):
     p = spec.params
-    if p["pool_size"] > 22:
-        raise InputFormatError("paym-effectiveness needs pool_size <= 22 for the enumeration baseline")
+    if p["pool_size"] > ORACLE_SIZE_MAX:
+        raise InputFormatError(
+            f"paym-effectiveness needs pool_size <= {ORACLE_SIZE_MAX} for the enumeration baseline"
+        )
     for stddev, budget, seed in product(p["epsilon_stddevs"], p["budgets"], spec.seeds):
         pool = gen_pool(
             SynthConfig(
@@ -314,8 +316,10 @@ def rank_candidates(
 
 def _run_rank_and_select(spec: ExperimentSpec):
     p = spec.params
-    if p["top_k"] > 22:
-        raise InputFormatError("rank-and-select needs top_k <= 22 for the enumeration baseline")
+    if p["top_k"] > ORACLE_SIZE_MAX:
+        raise InputFormatError(
+            f"rank-and-select needs top_k <= {ORACLE_SIZE_MAX} for the enumeration baseline"
+        )
     config = RankConfig(damping=p["damping"], alpha=p["alpha"], beta=p["beta"])
     pools = {}
     for method in p["methods"]:

@@ -156,7 +156,7 @@ def read_corpus(path: str | Path) -> Iterator[TweetRecord]:
                 created = _parse_created_at(obj.get("author_created_at"))
             except ValueError as exc:
                 raise CorpusError(f"{path}:{index}: {exc}", index) from exc
-            yield TweetRecord(author=author, content=content, author_created_at=created)
+            yield TweetRecord(author, content, created)
 
 
 def write_corpus(path: str | Path, records: Iterable[TweetRecord]) -> None:

@@ -87,7 +87,9 @@ class Budget:
 
     def __post_init__(self):
         object.__setattr__(self, "amount", float(self.amount))
-        if not self.amount >= 0.0:
+        if math.isnan(self.amount):
+            raise ValueError("budget must be a number")
+        if self.amount < 0.0:
             raise ValueError("budget must be >= 0")
 
 

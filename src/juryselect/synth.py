@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jer import EPSILON_CEIL, EPSILON_FLOOR, Juror, JuryLike, _epsilons
+from .jer import Juror, JuryLike, _epsilons
 from .solver import CandidatePool
 
 
@@ -15,9 +15,9 @@ from .solver import CandidatePool
 class SynthConfig:
     """Normal-distribution recipe for one synthetic pool.
 
-    The spread parameters are standard deviations, not variances.  Draws
-    are clamped afterwards (error rates into [1e-6, 1 - 1e-6], payment
-    requirements at 0) rather than resampled.
+    Means and standard deviations (not variances) must be finite.  Draws
+    are clamped afterwards (error rates into [1e-6, 1 - 1e-6] by ``Juror``,
+    payment requirements at 0) rather than resampled.
     """
 
     pool_size: int
@@ -30,6 +30,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
+        for name in ("epsilon_mean", "epsilon_stddev", "requirement_mean", "requirement_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.epsilon_stddev < 0 or self.requirement_stddev < 0:
             raise ValueError("standard deviations must be >= 0")
 
@@ -49,7 +52,6 @@ def gen_pool(config: SynthConfig) -> CandidatePool:
     rng = np.random.default_rng(config.seed)
     eps = rng.normal(config.epsilon_mean, config.epsilon_stddev, config.pool_size)
     req = rng.normal(config.requirement_mean, config.requirement_stddev, config.pool_size)
-    eps = np.clip(eps, EPSILON_FLOOR, EPSILON_CEIL)
     req = np.clip(req, 0.0, None)
     jurors = tuple(
         Juror(f"j{i:06d}", float(e), float(r)) for i, (e, r) in enumerate(zip(eps, req))

@@ -190,6 +190,10 @@ class TestCmdSolve:
     def test_negative_budget_exits_2(self, paym_csv):
         assert main(["solve", str(paym_csv), "--model", "paym", "--budget", "-1"]) == 2
 
+    def test_nan_budget_exits_2_as_not_a_number(self, paym_csv, capsys):
+        assert main(["solve", str(paym_csv), "--model", "paym", "--budget", "nan"]) == 2
+        assert "budget must be a number" in capsys.readouterr().err
+
 
 class TestCmdRank:
     def test_five_user_table(self, two_record_corpus, tmp_path, capsys):
@@ -317,6 +321,24 @@ class TestCmdGenPool:
         assert main(["solve", str(pool), "--model", "altrm"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["jury_ids"]
+
+    @pytest.mark.parametrize(
+        "stddev, requirement_mean, field",
+        [("inf", "0", "epsilon_stddev"), ("0.1", "inf", "requirement_mean")],
+    )
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, stddev, requirement_mean, field):
+        out = tmp_path / "pool.csv"
+        args = [
+            "gen-pool",
+            "--pool-size", "4",
+            "--epsilon-mean", "0.2",
+            "--epsilon-stddev", stddev,
+            "--requirement-mean", requirement_mean,
+            "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdRankSolveRoundTrip:

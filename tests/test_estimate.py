@@ -231,15 +231,6 @@ class TestPagerank:
         with pytest.raises(EmptyGraph):
             pagerank(UserGraph(frozenset(), frozenset()))
 
-    def test_initial_scaling_leaves_ranking_alone(self):
-        graph = graph_of(("a", "c"), ("b", "c"), ("c", "a"), ("d", "a"))
-        base = pagerank(graph)
-        scaled = pagerank(graph, initial=7.5)
-        rank = lambda s: sorted(s.scores, key=s.scores.get)
-        assert rank(base) == rank(scaled)
-        hits_base, hits_scaled = hits(graph), hits(graph, initial=3.0)
-        assert rank(hits_base) == rank(hits_scaled)
-
 
 class TestScoresToErrorRates:
     def test_endpoints_and_midpoint(self):

@@ -55,6 +55,10 @@ class TestBudget:
         with pytest.raises(ValueError):
             Budget(-1.0)
 
+    def test_nan_rejected_as_not_a_number(self):
+        with pytest.raises(ValueError, match="^budget must be a number$"):
+            Budget(math.nan)
+
     def test_infinite_allowed(self):
         assert Budget(math.inf).amount == math.inf
 

@@ -22,6 +22,14 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(5, 0.2, -0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["epsilon_mean", "epsilon_stddev", "requirement_mean", "requirement_stddev"]
+    )
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            SynthConfig(5, **{"epsilon_mean": 0.2, "epsilon_stddev": 0.1, field: value})
+
 
 class TestGenPool:
     def test_same_seed_same_pool(self):
@@ -48,6 +56,9 @@ class TestGenPool:
         for juror in pool:
             assert 1e-6 <= juror.epsilon <= 1 - 1e-6
             assert juror.requirement >= 0.0
+        # Each epsilon is its own draw, clamped once rather than resampled.
+        draws = np.random.default_rng(7).normal(0.05, 0.4, 2000)
+        assert [j.epsilon for j in pool] == [min(max(d, 1e-6), 1 - 1e-6) for d in draws.tolist()]
 
     def test_sample_mean_near_target(self):
         pool = gen_pool(SynthConfig(1000, 0.2, 0.05, seed=13))
