@@ -226,6 +226,7 @@ def _run_paym_traits(spec: ExperimentSpec):
             "budget": budget,
             "seed": seed,
             "jer": result.jer,
+            "log10_jer": result.log10_jer,
             "total_cost": result.total_cost,
             "jury_size": result.jury.size,
         }
@@ -257,6 +258,8 @@ def _run_paym_effectiveness(spec: ExperimentSpec):
             "seed": seed,
             "jer_greedy": greedy.jer,
             "jer_oracle": truth.jer,
+            "log10_jer_greedy": greedy.log10_jer,
+            "log10_jer_oracle": truth.log10_jer,
             "cost_greedy": greedy.total_cost,
             "cost_oracle": truth.total_cost,
             "precision": comparison.precision,
@@ -340,6 +343,8 @@ def _run_rank_and_select(spec: ExperimentSpec):
             "budget": budget,
             "jer_greedy": greedy.jer,
             "jer_oracle": truth.jer,
+            "log10_jer_greedy": greedy.log10_jer,
+            "log10_jer_oracle": truth.log10_jer,
             "precision": comparison.precision,
             "recall": comparison.recall,
             "size_greedy": greedy.jury.size,

@@ -41,6 +41,10 @@ ORACLE_SIZE_MAX = 22
 # any tolerance the error rates are compared at.
 _TIE_RTOL = 1e-13
 
+# Relative slack on the oracle's block lower bound: one dot product and the
+# block matmul may sum the same error rate in different orders.
+_BOUND_SLACK = 1e-12
+
 
 def _empty_row(length: int) -> np.ndarray:
     """The log tail row of an empty jury: P(W >= 0) = 1, every other tail 0."""
@@ -236,13 +240,15 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 
 
-def _half_tables(half: tuple[Juror, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per subset size s = 0..len(half): index combos, wrong-count pmf rows, costs.
+def _half_tables(half: tuple[Juror, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Per subset size s = 0..len(half): index combos, wrong-count pmf rows,
+    costs, and the row of the s lowest error rates.
 
     Combos come in lexicographic row order; pmf rows have s + 1 columns.
     """
     eps = np.array([j.epsilon for j in half])
     req = np.array([j.requirement for j in half])
+    lowest = np.argsort(eps, kind="stable")
     tables = []
     for s in range(len(half) + 1):
         combos = np.array(list(itertools.combinations(range(len(half)), s)), dtype=np.intp)
@@ -253,7 +259,8 @@ def _half_tables(half: tuple[Juror, ...]) -> list[tuple[np.ndarray, np.ndarray, 
             e = eps[col][:, None]
             pmf[:, 1:] = pmf[:, 1:] * (1.0 - e) + pmf[:, :-1] * e
             pmf[:, :1] *= 1.0 - e
-        tables.append((combos, pmf, req[combos].sum(axis=1)))
+        best = int(np.flatnonzero((combos == np.sort(lowest[:s])).all(axis=1))[0])
+        tables.append((combos, pmf, req[combos].sum(axis=1), best))
     return tables
 
 
@@ -265,8 +272,13 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     pmf and cost.  The unions of a size-a subset of A with a size-b subset
     of B, a + b = 2t - 1, form one block; the union errs when
     W_A + W_B >= t, so the block's error rates are one matmul of A's pmf
-    rows against B's tail rows P(W_B >= t - w).  ``juries_evaluated``
-    counts the feasible odd subsets.
+    rows against B's tail rows P(W_B >= t - w).  Branch and bound (Land &
+    Doig) skips blocks: a jury's error rate never falls as a member's
+    rises, so A's a lowest with B's b lowest bound a block from below.  Blocks
+    are priced in ascending bound order until a bound, less a 1e-12 slack,
+    exceeds the tie window below; a block whose cheapest union overruns
+    the budget is skipped too.  ``juries_evaluated`` counts the odd
+    subsets priced, ``juries_pruned`` those skipped; they sum to 2**(n-1).
 
     Every feasible jury whose float error rate is at most
     ``low * (1 + 1e-13)``, with ``low`` the least one, counts as tied with
@@ -287,30 +299,46 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     # index tuple lists its members in id order.
     order = tuple(sorted(candidates, key=lambda j: j.id))
     split = n // 2
-    combos_a, pmf_a, cost_a = zip(*_half_tables(order[:split]))
-    combos_b, pmf_b, cost_b = zip(*_half_tables(order[split:]))
+    combos_a, pmf_a, cost_a, best_a = zip(*_half_tables(order[:split]))
+    combos_b, pmf_b, cost_b, best_b = zip(*_half_tables(order[split:]))
     # tails_b[b][r, j] = P(W_B >= j) for j = 0..b + 1, summed from the top.
     tails_b = [
         np.hstack([np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1], np.zeros((len(pmf), 1))])
         for pmf in pmf_b
     ]
 
+    def columns(a, b):
+        return np.clip((a + b + 1) // 2 - np.arange(a + 1), 0, b + 1)
+
     def block(a, b):
-        t = (a + b + 1) // 2
-        jer = pmf_a[a] @ tails_b[b][:, np.clip(t - np.arange(a + 1), 0, b + 1)].T
+        jer = pmf_a[a] @ tails_b[b][:, columns(a, b)].T
         cost = cost_a[a][:, None] + cost_b[b][None, :]
         return jer, cost, cost <= budget_amount
 
-    evaluated = 0
-    lows = {}
+    evaluated = pruned = 0
+    bounds = []
     for a in range(split + 1):
         for b in range(1 - a % 2, n - split + 1, 2):  # a + b odd
-            jer, _, feasible = block(a, b)
-            count = int(np.count_nonzero(feasible))
-            if count:
-                evaluated += count
-                lows[a, b] = float(np.min(jer, where=feasible, initial=math.inf))
-    if not lows:
+            # Float addition is monotone, so this skip is exact.
+            if cost_a[a].min() + cost_b[b].min() > budget_amount:
+                pruned += cost_a[a].size * cost_b[b].size
+            else:
+                bound = pmf_a[a][best_a[a]] @ tails_b[b][best_b[b], columns(a, b)]
+                bounds.append((float(bound), a, b))
+
+    def block_low(a, b):
+        # Returns a float, so no block's arrays outlive its turn.
+        jer, _, feasible = block(a, b)
+        return float(np.min(jer, where=feasible, initial=math.inf))
+
+    lows = {}
+    for bound, a, b in sorted(bounds):
+        if bound * (1.0 - _BOUND_SLACK) > min(lows.values(), default=math.inf) * (1.0 + _TIE_RTOL):
+            pruned += cost_a[a].size * cost_b[b].size
+        else:
+            evaluated += cost_a[a].size * cost_b[b].size
+            lows[a, b] = block_low(a, b)
+    if min(lows.values(), default=math.inf) == math.inf:
         raise NoAffordableJuror(f"no odd subset fits the budget {budget_amount}")
 
     tied = min(lows.values()) * (1.0 + _TIE_RTOL)
@@ -330,7 +358,7 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
 
     total_cost, _, indices, jer = best
     members = tuple(order[i] for i in indices)
-    return SolveResult(Jury(members), jer, math.log10(jer), total_cost, evaluated, 0)
+    return SolveResult(Jury(members), jer, math.log10(jer), total_cost, evaluated, pruned)
 
 
 def compare_results(test: SolveResult, truth: SolveResult) -> ResultComparison:

@@ -241,6 +241,33 @@ class TestPaymTraits:
         assert jers == sorted(jers, reverse=True)
 
 
+    def test_log10_jer_column_survives_the_float_floor(self, tmp_path):
+        spec = ExperimentSpec(
+            "paym-traits",
+            {
+                "pool_size": 1000,
+                "epsilon_mean": 0.1,
+                "epsilon_stddev": 0.1,
+                "requirement_means": [0.0],
+                "requirement_stddev": 0.0,
+                "budgets": [1.0],
+            },
+            seeds=(1,),
+            out=str(tmp_path / "deep.csv"),
+        )
+        (row,) = read_rows(run_experiment(spec))
+        assert float(row["jer"]) == 0.0
+        assert float(row["log10_jer"]) == pytest.approx(-477.926, abs=1e-3)
+        assert int(row["jury_size"]) == 177
+
+
+def assert_log10_columns_match(rows):
+    for row in rows:
+        for solver in ("greedy", "oracle"):
+            jer = float(row[f"jer_{solver}"])
+            assert float(row[f"log10_jer_{solver}"]) == pytest.approx(math.log10(jer), abs=1e-12)
+
+
 class TestPaymEffectiveness:
     def test_greedy_bounded_by_oracle(self, tmp_path):
         spec = ExperimentSpec(
@@ -262,6 +289,7 @@ class TestPaymEffectiveness:
             assert float(row["jer_greedy"]) >= float(row["jer_oracle"]) - 1e-9
             assert 0.0 <= float(row["precision"]) <= 1.0
             assert 0.0 <= float(row["recall"]) <= 1.0
+        assert_log10_columns_match(rows)
 
     def test_full_budget_sweep_at_enumeration_scale(self, tmp_path):
         budgets = [round(1.0 + 0.2 * i, 10) for i in range(11)]
@@ -321,3 +349,4 @@ class TestRankAndSelect:
             assert 0.0 <= float(row["precision"]) <= 1.0
             assert 0.0 <= float(row["recall"]) <= 1.0
             assert int(row["size_greedy"]) % 2 == 1
+        assert_log10_columns_match(rows)

@@ -1,5 +1,6 @@
 """Selection algorithms: prefix-exact free model, budgeted greedy, enumeration truth."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -253,54 +254,93 @@ def exact_oracle(pool, budget):
             cost = sum(Fraction(j.requirement) for j in combo)
             if cost > Fraction(budget):
                 continue
-            pmf = [Fraction(1)]
-            for juror in combo:
-                e = Fraction(juror.epsilon)
-                pmf = [p * (1 - e) + q * e for p, q in zip(pmf + [0], [0] + pmf)]
-            key = (sum(pmf[(k + 1) // 2 :]), cost, k, [j.id for j in combo])
+            jer = exact_jer(tuple(sorted(j.epsilon for j in combo)))
+            key = (jer, cost, k, [j.id for j in combo])
             if best is None or key < best:
                 best = key
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def exact_jer(epsilons):
+    """The exact majority error rate of a jury with these error rates."""
+    pmf = [Fraction(1)]
+    for e in map(Fraction, epsilons):
+        pmf = [p * (1 - e) + q * e for p, q in zip(pmf + [0], [0] + pmf)]
+    return sum(pmf[(len(epsilons) + 1) // 2 :])
+
+
+def oracle(pool, budget):
+    """``solve_oracle``, checking that every odd subset was either priced or pruned."""
+    result = solve_oracle(pool, budget)
+    assert result.juries_evaluated + result.juries_pruned == 2 ** (len(pool) - 1)
+    return result
+
+
+def brute_force_oracle(pool, budget):
+    """The optimum under the oracle's tie rule, pricing every odd subset in numpy.
+
+    Returns (jer, member ids); subset bit i is the i-th juror in id order.
+    """
+    order = sorted(pool, key=lambda j: j.id)
+    n = len(order)
+    members = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    pmf = np.ones((1, 1))
+    for juror in order:
+        # The subsets holding this juror come after those without it.
+        pmf = np.pad(pmf, ((0, 0), (0, 1)))
+        pmf = np.vstack([pmf, pmf * (1.0 - juror.epsilon) + np.roll(pmf, 1, axis=1) * juror.epsilon])
+    size = members.sum(axis=1)
+    jer = np.where(np.arange(n + 1) >= (size[:, None] + 1) // 2, pmf, 0.0).sum(axis=1)
+    cost = members @ np.array([j.requirement for j in order])
+    feasible = (size % 2 == 1) & (cost <= budget)
+    tied = np.flatnonzero(feasible & (jer <= jer[feasible].min() * (1.0 + 1e-13)))
+
+    def ids(k):
+        return [order[i].id for i in np.flatnonzero(members[k])]
+
+    best = min(tied, key=lambda k: (cost[k], size[k], ids(k)))
+    return jer[best], ids(best)
+
+
 class TestSolveOracle:
     def test_agrees_with_greedy_on_traced_pool(self):
-        truth = solve_oracle(make_pool(PAYM_POOL), 0.5)
+        truth = oracle(make_pool(PAYM_POOL), 0.5)
         assert sorted(truth.member_ids) == ["B", "C", "D"]
         assert truth.jer == pytest.approx(0.136, abs=1e-12)
 
     def test_single_affordable_juror(self):
-        truth = solve_oracle([Juror("a", 0.2, 0.5)], 1.0)
+        truth = oracle([Juror("a", 0.2, 0.5)], 1.0)
         assert sorted(truth.member_ids) == ["a"]
 
     def test_zero_requirements_match_free_model(self, fig1_pool):
-        truth = solve_oracle(fig1_pool, 0.0)
+        truth = oracle(fig1_pool, 0.0)
         assert sorted(truth.member_ids) == ["A", "B", "C", "D", "E"]
         assert truth.jer == pytest.approx(0.07036, abs=1e-9)
 
     def test_size_cap(self):
         pool = [Juror(f"j{i}", 0.3) for i in range(23)]
         with pytest.raises(SizeLimitExceeded):
-            solve_oracle(pool, math.inf)
+            oracle(pool, math.inf)
 
     def test_infeasible_budget(self):
         with pytest.raises(NoAffordableJuror):
-            solve_oracle([Juror("a", 0.2, 2.0)], 1.0)
+            oracle([Juror("a", 0.2, 2.0)], 1.0)
 
     def test_tie_breaking_prefers_cheaper_then_smaller_then_ids(self):
         # b and c are identical in error rate; cheaper c wins the tie.
         pool = [Juror("b", 0.2, 0.5), Juror("c", 0.2, 0.1)]
-        truth = solve_oracle(pool, 1.0)
+        truth = oracle(pool, 1.0)
         assert sorted(truth.member_ids) == ["c"]
         # Equal cost and error rate: lexicographically smaller id wins.
         pool = [Juror("b", 0.2, 0.1), Juror("a", 0.2, 0.1)]
-        truth = solve_oracle(pool, 1.0)
+        truth = oracle(pool, 1.0)
         assert sorted(truth.member_ids) == ["a"]
 
     def test_smaller_jury_wins_a_tie(self):
         # {a} and {a, b, c} both err with probability exactly 0.5, at cost 0.
         pool = [Juror(i, 0.5) for i in "abc"]
-        truth = solve_oracle(pool, 1.0)
+        truth = oracle(pool, 1.0)
         assert sorted(truth.member_ids) == ["a"]
         assert truth.jer == 0.5
 
@@ -314,7 +354,7 @@ class TestSolveOracle:
             ]
             budget = float(min(j.requirement for j in pool) + rng.uniform(0.0, n * 0.4))
             jer, cost, _, ids = exact_oracle(pool, budget)
-            truth = solve_oracle(pool, budget)
+            truth = oracle(pool, budget)
             assert sorted(truth.member_ids) == ids
             assert abs(truth.jer - jer) <= 1e-12 * jer
             assert truth.total_cost == pytest.approx(float(cost), abs=1e-12)
@@ -324,13 +364,35 @@ class TestSolveOracle:
         # tie exactly; their float error rates may differ in the last ulps.
         rng = np.random.default_rng(7)
         for _ in range(30):
-            n = int(rng.integers(5, 10))
+            n = int(rng.integers(5, 13))
             eps = rng.choice([0.1, 0.2, 0.3, 0.5], n)
             req = rng.choice([0.0, 0.25, 0.5], n)
             pool = [Juror(f"j{i}", e, r) for i, (e, r) in enumerate(zip(eps, req))]
             budget = 0.25 * int(rng.integers(1, 2 * n))
             _, _, _, ids = exact_oracle(pool, budget)
-            assert sorted(solve_oracle(pool, budget).member_ids) == ids
+            assert sorted(oracle(pool, budget).member_ids) == ids
+
+    def test_pruning_matches_brute_force_on_larger_pools(self):
+        rng = np.random.default_rng(47)
+        for n in range(12, 17):
+            for _ in range(3):
+                pool = [
+                    Juror(f"j{i:02d}", e, r)
+                    for i, (e, r) in enumerate(zip(rng.uniform(0.05, 0.6, n), rng.uniform(0.0, 1.0, n)))
+                ]
+                total = sum(j.requirement for j in pool)
+                for budget in (math.inf, total, *(total * rng.uniform(0.1, 0.5, 3))):
+                    jer, ids = brute_force_oracle(pool, budget)
+                    truth = oracle(pool, budget)
+                    assert sorted(truth.member_ids) == ids
+                    assert abs(truth.jer - jer) <= 1e-12 * jer
+
+    def test_bound_prunes_most_subsets_on_sweep_pools(self):
+        # Without the bound every subset would be priced; a disabled or
+        # loosened bound fails here before any timing shows it.
+        for seed in (1, 2, 3):
+            config = SynthConfig(22, 0.2, 0.1, requirement_mean=0.05, requirement_stddev=0.2, seed=seed)
+            assert oracle(gen_pool(config), 3.0).juries_pruned >= 0.9 * 2**21
 
     def test_greedy_never_beats_oracle(self):
         rng = np.random.default_rng(41)
@@ -344,7 +406,7 @@ class TestSolveOracle:
             ]
             budget = float(min(j.requirement for j in pool) + rng.uniform(0.0, n * 0.5))
             greedy = solve_paym_greedy(pool, budget)
-            truth = solve_oracle(pool, budget)
+            truth = oracle(pool, budget)
             assert greedy.jer - truth.jer >= -1e-9
 
 
