@@ -21,7 +21,6 @@ error rates live.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -41,7 +40,7 @@ ORACLE_SIZE_MAX = 22
 # any tolerance the error rates are compared at.
 _TIE_RTOL = 1e-13
 
-# Relative slack on the oracle's block lower bound: one dot product and the
+# Relative slack on the oracle's block lower bound: the bound's sum and the
 # block matmul may sum the same error rate in different orders.
 _BOUND_SLACK = 1e-12
 
@@ -245,22 +244,44 @@ def _half_tables(half: tuple[Juror, ...]) -> list[tuple[np.ndarray, np.ndarray, 
     costs, and the row of the s lowest error rates.
 
     Combos come in lexicographic row order; pmf rows have s + 1 columns.
+
+    All pmfs come from one table built by doubling (Horowitz & Sahni):
+    column v holds the subset whose member i is bit h - 1 - i of v, and
+    member i is absorbed by writing the columns with that bit set from
+    those without it.  Members are absorbed in ascending order, so each
+    pmf sees the same float operations as one built juror by juror.  With
+    member 0 on the top bit, descending v is lexicographic order within
+    one size: v is the bit-reversed subset mask.
     """
+    h = len(half)
     eps = np.array([j.epsilon for j in half])
     req = np.array([j.requirement for j in half])
-    lowest = np.argsort(eps, kind="stable")
+    pmf = np.zeros((h + 1, 2**h))
+    pmf[0, 0] = 1.0
+    size = np.zeros(2**h, dtype=np.uint8)
+    for i, e in enumerate(eps):
+        step = 2 ** (h - i)
+        old, new = pmf[:, ::step], pmf[:, step // 2 :: step]
+        np.multiply(old, 1.0 - e, out=new)
+        new[1:] += old[:-1] * e
+        size[step // 2 :: step] = size[::step] + 1
+    # Columns by size, then in lexicographic order.
+    order = 2**h - 1 - np.argsort(size[::-1], kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(2**h)
+    # Member indices, ascending within each subset, subsets in that order
+    # (empty when h = 0, so `% h` meets no element).
+    members = np.flatnonzero(order[:, None] & (1 << np.arange(h)[::-1]) != 0) % h
+    # lowest[s]: the column of the s lowest error rates.
+    lowest = np.concatenate([[0], np.cumsum(1 << (h - 1 - np.argsort(eps, kind="stable")))])
     tables = []
-    for s in range(len(half) + 1):
-        combos = np.array(list(itertools.combinations(range(len(half)), s)), dtype=np.intp)
-        combos = combos.reshape(math.comb(len(half), s), s)
-        pmf = np.zeros((len(combos), s + 1))
-        pmf[:, 0] = 1.0
-        for col in combos.T:
-            e = eps[col][:, None]
-            pmf[:, 1:] = pmf[:, 1:] * (1.0 - e) + pmf[:, :-1] * e
-            pmf[:, :1] *= 1.0 - e
-        best = int(np.flatnonzero((combos == np.sort(lowest[:s])).all(axis=1))[0])
-        tables.append((combos, pmf, req[combos].sum(axis=1), best))
+    start = offset = 0
+    for s in range(h + 1):
+        stop = start + math.comb(h, s)
+        combos = members[offset : offset + (stop - start) * s].reshape(stop - start, s)
+        best = int(position[lowest[s]] - start)
+        tables.append((combos, pmf[: s + 1, order[start:stop]].T.copy(), req[combos].sum(axis=1), best))
+        start, offset = stop, offset + combos.size
     return tables
 
 
@@ -301,30 +322,41 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     split = n // 2
     combos_a, pmf_a, cost_a, best_a = zip(*_half_tables(order[:split]))
     combos_b, pmf_b, cost_b, best_b = zip(*_half_tables(order[split:]))
-    # tails_b[b][r, j] = P(W_B >= j) for j = 0..b + 1, summed from the top.
-    tails_b = [
-        np.hstack([np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1], np.zeros((len(pmf), 1))])
-        for pmf in pmf_b
-    ]
 
-    def columns(a, b):
-        return np.clip((a + b + 1) // 2 - np.arange(a + 1), 0, b + 1)
+    def tails(pmf):
+        # P(W_B >= j) for j = 0..len(B) + 1, summed from the top.
+        out = np.zeros((len(pmf), n - split + 2))
+        out[:, : pmf.shape[1]] = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+        return out
+
+    def lowest_rows(pmf, best):
+        # Row s: the pmf of the half's s lowest error rates, zero-padded.
+        rows = np.zeros((len(pmf), len(pmf)))
+        for s, (table, i) in enumerate(zip(pmf, best)):
+            rows[s, : s + 1] = table[i]
+        return rows
 
     def block(a, b):
-        jer = pmf_a[a] @ tails_b[b][:, columns(a, b)].T
+        # Tails past B's size are 0, so only w > t needs clipping, to P(W_B >= 0).
+        jer = pmf_a[a] @ tails(pmf_b[b])[:, np.maximum((a + b + 1) // 2 - np.arange(a + 1), 0)].T
         cost = cost_a[a][:, None] + cost_b[b][None, :]
         return jer, cost, cost <= budget_amount
 
-    evaluated = pruned = 0
-    bounds = []
-    for a in range(split + 1):
-        for b in range(1 - a % 2, n - split + 1, 2):  # a + b odd
-            # Float addition is monotone, so this skip is exact.
-            if cost_a[a].min() + cost_b[b].min() > budget_amount:
-                pruned += cost_a[a].size * cost_b[b].size
-            else:
-                bound = pmf_a[a][best_a[a]] @ tails_b[b][best_b[b], columns(a, b)]
-                bounds.append((float(bound), a, b))
+    # Every (a, b) block at once: its bound, and whether even its cheapest
+    # union overruns the budget.  Float addition is monotone, so that skip
+    # is exact.
+    count = np.outer([c.size for c in cost_a], [c.size for c in cost_b])
+    size_a, size_b = np.indices(count.shape)
+    # column[a, b, w]: where P(W_B >= t - w) sits in a tail row, as in block().
+    column = np.maximum((size_a + size_b + 1)[..., None] // 2 - np.arange(split + 1), 0)
+    low_tails_b = tails(lowest_rows(pmf_b, best_b))[size_b[..., None], column]
+    lower = (lowest_rows(pmf_a, best_a)[:, None, :] * low_tails_b).sum(axis=2)
+    cheapest = np.array([c.min() for c in cost_a])[:, None] + np.array([c.min() for c in cost_b])
+    odd = (size_a + size_b) % 2 == 1
+    live = odd & (cheapest <= budget_amount)
+    evaluated = 0
+    pruned = int(count[odd & ~live].sum())
+    bounds = zip(lower[live].tolist(), size_a[live].tolist(), size_b[live].tolist())
 
     def block_low(a, b):
         # Returns a float, so no block's arrays outlive its turn.

@@ -26,6 +26,7 @@ from juryselect import (
     solve_paym_greedy,
 )
 from juryselect.jer import Jury
+from juryselect.solver import _half_tables
 
 
 def make_pool(rows):
@@ -280,7 +281,8 @@ def oracle(pool, budget):
 def brute_force_oracle(pool, budget):
     """The optimum under the oracle's tie rule, pricing every odd subset in numpy.
 
-    Returns (jer, member ids); subset bit i is the i-th juror in id order.
+    Returns (jer, member ids), or None when no odd subset fits the budget;
+    subset bit i is the i-th juror in id order.
     """
     order = sorted(pool, key=lambda j: j.id)
     n = len(order)
@@ -294,6 +296,8 @@ def brute_force_oracle(pool, budget):
     jer = np.where(np.arange(n + 1) >= (size[:, None] + 1) // 2, pmf, 0.0).sum(axis=1)
     cost = members @ np.array([j.requirement for j in order])
     feasible = (size % 2 == 1) & (cost <= budget)
+    if not feasible.any():
+        return None
     tied = np.flatnonzero(feasible & (jer <= jer[feasible].min() * (1.0 + 1e-13)))
 
     def ids(k):
@@ -301,6 +305,51 @@ def brute_force_oracle(pool, budget):
 
     best = min(tied, key=lambda k: (cost[k], size[k], ids(k)))
     return jer[best], ids(best)
+
+
+def reference_half_tables(half):
+    """The subset tables built one size at a time from ``itertools.combinations``,
+    one pmf column at a time: what the doubling table must reproduce bit for bit.
+    """
+    eps = np.array([j.epsilon for j in half])
+    req = np.array([j.requirement for j in half])
+    lowest = np.argsort(eps, kind="stable")
+    tables = []
+    for s in range(len(half) + 1):
+        combos = np.array(list(itertools.combinations(range(len(half)), s)), dtype=np.intp)
+        combos = combos.reshape(math.comb(len(half), s), s)
+        pmf = np.zeros((len(combos), s + 1))
+        pmf[:, 0] = 1.0
+        for col in combos.T:
+            e = eps[col][:, None]
+            pmf[:, 1:] = pmf[:, 1:] * (1.0 - e) + pmf[:, :-1] * e
+            pmf[:, :1] *= 1.0 - e
+        best = int(np.flatnonzero((combos == np.sort(lowest[:s])).all(axis=1))[0])
+        tables.append((combos, pmf, req[combos].sum(axis=1), best))
+    return tables
+
+
+class TestHalfTables:
+    @pytest.mark.parametrize("h", range(12))
+    def test_doubling_matches_the_per_size_tables(self, h):
+        rng = np.random.default_rng(59 + h)
+        halves = [
+            # Tied error rates, so the stable argsort's tie order picks best.
+            (rng.choice([0.1, 0.2, 0.3], h), rng.uniform(0.0, 1.0, h)),
+            (rng.uniform(0.05, 0.95, h), np.zeros(h)),
+            (rng.uniform(0.05, 0.95, h), np.full(h, 0.25)),
+            (np.full(h, 0.2), np.full(h, 0.1)),
+        ]
+        for eps, req in halves:
+            half = tuple(Juror(f"j{i:02d}", e, r) for i, (e, r) in enumerate(zip(eps, req)))
+            tables = _half_tables(half)
+            reference = reference_half_tables(half)
+            assert len(tables) == len(reference) == h + 1
+            for got, want in zip(tables, reference):
+                for x, y in zip(got[:3], want[:3]):  # combos, pmf, cost
+                    assert x.shape == y.shape and x.dtype == y.dtype
+                    assert np.array_equal(x, y)
+                assert got[3] == want[3]  # best
 
 
 class TestSolveOracle:
@@ -373,8 +422,20 @@ class TestSolveOracle:
             assert sorted(oracle(pool, budget).member_ids) == ids
 
     def test_pruning_matches_brute_force_on_larger_pools(self):
+        def check(pool, budget):
+            expected = brute_force_oracle(pool, budget)
+            if expected is None:
+                with pytest.raises(NoAffordableJuror):
+                    oracle(pool, budget)
+                return
+            jer, ids = expected
+            truth = oracle(pool, budget)
+            assert sorted(truth.member_ids) == ids
+            assert abs(truth.jer - jer) <= 1e-12 * jer
+
         rng = np.random.default_rng(47)
-        for n in range(12, 17):
+        # n = 1 leaves half A empty.
+        for n in (*range(12, 17), 1, 2, 3):
             for _ in range(3):
                 pool = [
                     Juror(f"j{i:02d}", e, r)
@@ -382,10 +443,25 @@ class TestSolveOracle:
                 ]
                 total = sum(j.requirement for j in pool)
                 for budget in (math.inf, total, *(total * rng.uniform(0.1, 0.5, 3))):
-                    jer, ids = brute_force_oracle(pool, budget)
-                    truth = oracle(pool, budget)
-                    assert sorted(truth.member_ids) == ids
-                    assert abs(truth.jer - jer) <= 1e-12 * jer
+                    check(pool, budget)
+        # With every requirement zero, each jury costs exactly the budget 0.0.
+        for n in (1, 2, 3, 16):
+            check([Juror(f"j{i:02d}", e) for i, e in enumerate(rng.uniform(0.05, 0.6, n))], 0.0)
+
+    def test_counters_pinned_on_sweep_pools(self):
+        # (juries_evaluated, juries_pruned) at budgets 1.0, 2.0 and 3.0, as
+        # counted when each block was bounded in its own loop iteration.
+        expected = {
+            1000: [(479160, 1617992), (12705, 2084447), (3630, 2093522)],
+            1001: [(571362, 1525790), (13486, 2083666), (3630, 2093522)],
+            1002: [(98857, 1998295), (3630, 2093522), (3630, 2093522)],
+        }
+        for seed, counts in expected.items():
+            config = SynthConfig(22, 0.2, 0.1, requirement_mean=0.05, requirement_stddev=0.2, seed=seed)
+            pool = gen_pool(config)
+            for budget, count in zip((1.0, 2.0, 3.0), counts):
+                result = oracle(pool, budget)
+                assert (result.juries_evaluated, result.juries_pruned) == count
 
     def test_bound_prunes_most_subsets_on_sweep_pools(self):
         # Without the bound every subset would be priced; a disabled or
