@@ -52,7 +52,7 @@ def _cmd_jer(args) -> None:
     jurors = read_jurors_csv(args.input)
     if len(jurors) % 2 == 0:  # also a header-only file
         raise EvenSize(f"jury size must be odd, got {len(jurors)}")
-    print(f"{_JER_ALGORITHMS[args.algorithm](Jury(tuple(jurors))):.12f}")
+    print(f"{_JER_ALGORITHMS[args.algorithm](Jury(tuple(jurors))):.12g}")
 
 
 def _cmd_solve(args) -> None:
@@ -89,7 +89,7 @@ def _cmd_rank(args) -> None:
         alpha=args.alpha,
         beta=args.beta,
     )
-    rows = rank_candidates(args.corpus, args.method, config)[: args.top_k]
+    rows = rank_candidates(args.corpus, args.method, config, args.top_k)
     write_scores_csv(args.out or sys.stdout, rows)
 
 

@@ -251,17 +251,23 @@ def scores_to_error_rates(
     [1e-6, 1 - 1e-6].  Higher score means strictly lower error rate.
     """
     table = scores.scores if isinstance(scores, ScoreMap) else dict(scores)
-    if not table:
-        raise DegenerateScores("no users to normalize")
     values = np.array(list(table.values()), dtype=float)
+    return dict(zip(table, _squash(values, slice(None), config)))
+
+
+def _squash(values: np.ndarray, picks, config: RankConfig) -> list[float]:
+    """The squashed error rates of ``values[picks]`` (see
+    ``scores_to_error_rates``), with min and max taken over all values."""
+    if values.size == 0:
+        raise DegenerateScores("no users to normalize")
     low, high = float(values.min()), float(values.max())
     if high == low:
         raise DegenerateScores("all quality scores identical; no ranking information")
     span = high - low
-    return {
-        user: clamp_epsilon(config.beta ** (-config.alpha * (value - low) / span))
-        for user, value in table.items()
-    }
+    return [
+        clamp_epsilon(config.beta ** (-config.alpha * (value - low) / span))
+        for value in values[picks].tolist()
+    ]
 
 
 def ages_to_requirements(ages: Mapping[str, float]) -> dict[str, float]:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputFormatError
-from .estimate import RankConfig, build_graph, hits, pagerank, scores_to_error_rates, ages_to_requirements
+from .estimate import RankConfig, _squash, ages_to_requirements, build_graph, hits, pagerank
 from .io import read_corpus
 from .jer import Juror
 from .solver import ORACLE_SIZE_MAX, compare_results, solve_altrm, solve_oracle, solve_paym_greedy
@@ -271,12 +271,15 @@ def rank_candidates(
     corpus_path: str | Path,
     method: str,
     config: RankConfig = RankConfig(),
+    top_k: int | None = None,
 ) -> list[dict]:
     """Rank a corpus and return per-user rows sorted by descending score.
 
     Each row carries username, score, hub_score (None without a hub side),
     the squashed error rate and the age-derived payment requirement (0 for
-    users whose registration date never appears in the corpus).
+    users whose registration date never appears in the corpus).  With
+    ``top_k`` only the first ``top_k`` rows are built; error rates are
+    still scaled by the range of every user's score.
     """
     if method not in RANK_METHODS:
         raise InputFormatError(f"unknown ranking method {method!r}")
@@ -293,7 +296,12 @@ def rank_candidates(
 
     graph = build_graph(records_noting_registration())
     ranked = hits(graph, config) if method == "hits" else pagerank(graph, config)
-    epsilons = scores_to_error_rates(ranked, config)
+    # Scores are keyed in sorted-name order, so a stable sort on the
+    # negated score breaks ties by name.
+    users = list(ranked.scores)
+    values = np.fromiter(ranked.scores.values(), float, len(users))
+    order = np.argsort(-values, kind="stable")[:top_k]
+    epsilons = _squash(values, order, config)
     requirements: dict[str, float] = {}
     if created:
         newest = max(created.values())
@@ -301,19 +309,15 @@ def rank_candidates(
             {user: newest - stamp for user, stamp in created.items()}
         )
 
-    # Scores are keyed in sorted-name order, so a stable sort on the
-    # negated score breaks ties by name.
-    users = list(ranked.scores)
-    order = np.argsort(-np.fromiter(ranked.scores.values(), float, len(users)), kind="stable")
     return [
         {
             "username": user,
             "score": ranked.scores[user],
             "hub_score": None if ranked.hubs is None else ranked.hubs[user],
-            "epsilon": epsilons[user],
+            "epsilon": epsilon,
             "requirement": requirements.get(user, 0.0),
         }
-        for user in map(users.__getitem__, order.tolist())
+        for user, epsilon in zip(map(users.__getitem__, order.tolist()), epsilons)
     ]
 
 
@@ -326,7 +330,7 @@ def _run_rank_and_select(spec: ExperimentSpec):
     config = RankConfig(damping=p["damping"], alpha=p["alpha"], beta=p["beta"])
     pools = {}
     for method in p["methods"]:
-        rows = rank_candidates(p["corpus"], method, config)[: p["top_k"]]
+        rows = rank_candidates(p["corpus"], method, config, p["top_k"])
         pools[method] = tuple(
             Juror(row["username"], row["epsilon"], row["requirement"]) for row in rows
         )

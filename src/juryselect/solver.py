@@ -5,7 +5,8 @@ Two cost models:
 * free enrollment -- every subset is allowed; sorting candidates by error
   rate makes the best jury of each size a prefix, so ``solve_altrm`` scans
   odd prefixes and is exactly optimal, optionally skipping prefixes whose
-  tail lower bound already exceeds the best error rate seen;
+  tail lower bound already exceeds the best error rate seen and stopping
+  once no longer prefix can win;
 * paid enrollment -- a jury is feasible only if its summed requirements
   fit a budget.  Exact selection is intractable, so ``solve_paym_greedy``
   grows a jury in cheap pairs, and ``solve_oracle`` provides exact
@@ -14,9 +15,12 @@ Two cost models:
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so each keeps
 one rolling log tail row, ``row[l] = log P(W >= l)`` for the wrong-vote
-count ``W``: O(n) to add a juror, O(1) to read, and exact to relative
-float precision far below the float floor, where very reliable juries'
-error rates live.
+count ``W``: O(1) to read, and exact to relative float precision far
+below the float floor, where very reliable juries' error rates live.
+Adding a juror advances only the row's live band: entries above the
+jury's size hold log 0 = -inf and stay so, and ``solve_altrm`` also
+leaves behind the low entries that no later read can reach, so its scan
+makes about half the entry updates a whole-row advance would.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ _TIE_RTOL = 1e-13
 # block matmul may sum the same error rate in different orders.
 _BOUND_SLACK = 1e-12
 
+# Relative slack on the free scan's stop rule: far above the rounding of
+# a running sum of error rates or of a log tail row over any pool the
+# O(n**2) scan can handle, and far below any gap worth comparing.
+_STOP_RTOL = 1e-9
+_LOG_HALF = math.log(0.5)
+
 
 def _empty_row(length: int) -> np.ndarray:
     """The log tail row of an empty jury: P(W >= 0) = 1, every other tail 0."""
@@ -52,9 +62,16 @@ def _empty_row(length: int) -> np.ndarray:
     return row
 
 
-def _advance(row: np.ndarray, e: float) -> None:
-    """Absorb one juror with error rate ``e`` into a log tail row, in place."""
-    row[1:] = np.logaddexp(row[1:] + math.log1p(-e), row[:-1] + math.log(e))
+def _advance(row: np.ndarray, e: float, lo: int, hi: int, scratch: np.ndarray) -> None:
+    """Absorb one juror with error rate ``e`` into ``row[lo:hi]``, in place.
+
+    Entry l reads only entries l - 1 and l, so the rest of the row keeps
+    its old values; ``scratch`` is a (2, len(row)) buffer for the terms.
+    """
+    right, wrong = scratch[0, : hi - lo], scratch[1, : hi - lo]
+    np.add(row[lo:hi], math.log1p(-e), out=right)
+    np.add(row[lo - 1 : hi - 1], math.log(e), out=wrong)
+    np.logaddexp(right, wrong, out=row[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -146,16 +163,39 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     odd prefix is a candidate jury; monotonicity of the majority tail in
     each member's error rate makes the best prefix globally optimal.
     Prefixes nest, so one log tail row, advanced juror by juror, gives
-    every prefix's error rate.  With ``use_pruning`` the moment lower
-    bound, when it applies, skips reading the tail of prefixes that
-    provably cannot beat the best jury found so far; pruning never changes
-    the returned jury.
+    every prefix's error rate.  Juror k advances only the live band of
+    that row: entries above k are zero tails, and an entry below
+    k - (n_max - 1) // 2 can no longer reach a read, since entry l after
+    juror k feeds only entries l and l + 1 after juror k + 1, and prefix
+    m <= n_max reads entry (m + 1) // 2.
+
+    With ``use_pruning`` two rules skip prefixes without changing the
+    returned jury; ``juries_pruned`` counts both, so it and
+    ``juries_evaluated`` sum to the number of odd prefixes:
+
+    * the moment lower bound, when it applies, skips reading the tail of
+      a prefix that provably cannot beat the best jury so far;
+    * the scan stops after prefix n once the best error rate so far is
+      below 1/2 by more than float noise and n's mean wrong count mu_n
+      is at least (n + 1) / 2.  Then n's jurors err more than 1/2 on
+      average, so the n-th does, and so does every later one, since they
+      are sorted.  Each later pair adds at least 1 to mu and exactly 1 to
+      the majority threshold, so every odd prefix m >= n has threshold
+      t_m = (m + 1) / 2 <= mu_m, hence t_m <= floor(mu_m).  A
+      Poisson-binomial count's median lies between floor(mu) and
+      ceil(mu) (Jogdeo & Samuels, 1968), so P(W_m >= t_m) >=
+      P(W_m >= floor(mu_m)) >= 1/2: no later prefix wins.  The float
+      noise, a 1e-9 relative slack on both tests, covers the rounding of
+      mu's running sum and of the row at any pool size the scan's
+      quadratic work can reach.
     """
     order = sorted(_candidates(pool), key=lambda j: (j.epsilon, j.id))
-    eps = np.array([j.epsilon for j in order])
-    n_max = eps.size if eps.size % 2 == 1 else eps.size - 1
+    eps = [j.epsilon for j in order]
+    n_max = len(eps) if len(eps) % 2 == 1 else len(eps) - 1
 
     row = _empty_row((n_max + 1) // 2 + 1)
+    scratch = np.empty((2, row.size))
+    reach = (n_max - 1) // 2
     best_n = 0
     best_log = math.inf
     evaluated = 0
@@ -164,21 +204,27 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     sigma_sq = 0.0
     for n in range(1, n_max + 1, 2):
         new = eps[max(n - 2, 0) : n]
-        for e in new:
-            _advance(row, e)
-        mu += float(new.sum())
-        sigma_sq += float((new * (1.0 - new)).sum())
-        if use_pruning:
-            bound = _moment_bound(n, mu, sigma_sq)
-            # Compared in logs: best_log may lie below the float floor.
-            if bound is not None and math.log(bound) > best_log:
-                pruned += 1
-                continue
-        evaluated += 1
-        tail = float(row[(n + 1) // 2])
-        if tail < best_log:
-            best_log = tail
-            best_n = n
+        for k, e in enumerate(new, start=n + 1 - len(new)):
+            _advance(row, e, max(1, k - reach), min(k + 1, row.size), scratch)
+        mu += sum(new)
+        sigma_sq += sum(e * (1.0 - e) for e in new)
+        bound = _moment_bound(n, mu, sigma_sq) if use_pruning else None
+        # Compared in logs: best_log may lie below the float floor.
+        if bound is not None and math.log(bound) > best_log:
+            pruned += 1
+        else:
+            evaluated += 1
+            tail = float(row[(n + 1) // 2])
+            if tail < best_log:
+                best_log = tail
+                best_n = n
+        if (
+            use_pruning
+            and mu >= (n + 1) / 2 * (1.0 + _STOP_RTOL)
+            and best_log < _LOG_HALF - _STOP_RTOL
+        ):
+            pruned += (n_max - n) // 2
+            break
 
     jury = Jury(tuple(order[:best_n]))
     cost = sum(j.requirement for j in jury.members)
@@ -211,8 +257,11 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
 
     selected = [order[start]]
     spent = order[start].requirement
+    # Entries above the jury's size are zero tails, so each advance stops
+    # at the size it reaches.
     row = _empty_row(len(order) // 2 + 2)
-    _advance(row, order[start].epsilon)
+    scratch = np.empty((2, row.size))
+    _advance(row, order[start].epsilon, 1, 2, scratch)
     current = float(row[1])
     evaluated = 1
     pending: Juror | None = None
@@ -228,11 +277,11 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
             trial = float(np.logaddexp.reduce(pair + row[t - 1 : t + 2]))
             evaluated += 1
             if trial <= current:
-                selected += [pending, candidate]
                 current = trial
                 spent += pending.requirement + candidate.requirement
-                _advance(row, a)
-                _advance(row, b)
+                for juror in (pending, candidate):
+                    selected.append(juror)
+                    _advance(row, juror.epsilon, 1, min(len(selected) + 1, row.size), scratch)
                 pending = None
 
     jury = Jury(tuple(selected))
@@ -336,9 +385,13 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
             rows[s, : s + 1] = table[i]
         return rows
 
+    tails_b = {}  # size b -> B's tail rows, summed when a block first needs them
+
     def block(a, b):
+        if b not in tails_b:
+            tails_b[b] = tails(pmf_b[b])
         # Tails past B's size are 0, so only w > t needs clipping, to P(W_B >= 0).
-        jer = pmf_a[a] @ tails(pmf_b[b])[:, np.maximum((a + b + 1) // 2 - np.arange(a + 1), 0)].T
+        jer = pmf_a[a] @ tails_b[b][:, np.maximum((a + b + 1) // 2 - np.arange(a + 1), 0)].T
         cost = cost_a[a][:, None] + cost_b[b][None, :]
         return jer, cost, cost <= budget_amount
 

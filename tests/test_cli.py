@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -65,21 +66,37 @@ def two_record_corpus(tmp_path):
 
 
 class TestCmdJer:
-    def test_dp_prints_twelve_decimals(self, abc_csv, capsys):
+    def test_dp_prints_twelve_significant_digits(self, abc_csv, capsys):
         assert main(["jer", str(abc_csv), "--algorithm", "dp"]) == 0
-        assert capsys.readouterr().out.strip() == "0.072000000000"
+        assert capsys.readouterr().out.strip() == "0.072"
 
     def test_single_row(self, tmp_path, capsys):
         path = write_lines(tmp_path / "one.csv", "id,epsilon,requirement", "x,0.3,0")
         assert main(["jer", str(path)]) == 0
-        assert capsys.readouterr().out.strip() == "0.300000000000"
+        assert capsys.readouterr().out.strip() == "0.3"
 
     def test_all_algorithms_agree(self, fig1_csv, capsys):
         outputs = set()
         for algorithm in ("naive", "dp", "cba"):
             assert main(["jer", str(fig1_csv), "--algorithm", algorithm]) == 0
             outputs.add(capsys.readouterr().out.strip())
-        assert outputs == {"0.085248000000"}
+        assert outputs == {"0.085248"}
+
+    def test_rate_below_twelve_decimals_is_not_printed_as_zero(self, tmp_path, capsys):
+        # 21 jurors at 0.01 err with probability 3.2e-17, which twelve
+        # decimal places would print as 0.000000000000.
+        path = write_lines(
+            tmp_path / "reliable.csv", "id,epsilon,requirement", *[f"j{i},0.01,0" for i in range(21)]
+        )
+        e = Fraction(0.01)
+        exact = sum(math.comb(21, k) * e**k * (1 - e) ** (21 - k) for k in range(11, 22))
+        assert main(["solve", str(path), "--model", "altrm"]) == 0
+        solved = json.loads(capsys.readouterr().out)["jer"]
+        for algorithm in ("naive", "dp", "cba"):
+            assert main(["jer", str(path), "--algorithm", algorithm]) == 0
+            printed = capsys.readouterr().out.strip()
+            assert printed == "3.2169401504e-17" == f"{solved:.12g}"
+            assert float(printed) == pytest.approx(float(exact), rel=1e-11)
 
     def test_even_jury_exits_3(self, tmp_path, capsys):
         path = write_lines(

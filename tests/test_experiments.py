@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from juryselect import ExperimentSpec, InputFormatError, run_experiment
-from juryselect.estimate import TweetRecord
+from juryselect import ExperimentSpec, InputFormatError, rank_candidates, run_experiment
+from juryselect.estimate import RankConfig, TweetRecord
 from juryselect.io import write_corpus
 
 DEMO_SPECS = sorted((Path(__file__).parent.parent / "demos" / "experiment_specs").glob("*.json"))
@@ -350,3 +350,15 @@ class TestRankAndSelect:
             assert 0.0 <= float(row["recall"]) <= 1.0
             assert int(row["size_greedy"]) % 2 == 1
         assert_log10_columns_match(rows)
+
+
+class TestRankCandidates:
+    @pytest.mark.parametrize("method", ["hits", "pagerank"])
+    def test_top_k_rows_equal_the_full_ranking_head(self, tmp_path, method):
+        # Error rates are scaled by every user's score, not the top k's.
+        corpus = synthetic_corpus(tmp_path / "corpus.ndjson")
+        config = RankConfig(alpha=3.0, beta=5.0)
+        full = rank_candidates(corpus, method, config)
+        assert full[-1]["epsilon"] == 1.0 - 1e-6
+        for top_k in (1, 5, len(full), len(full) + 3):
+            assert rank_candidates(corpus, method, config, top_k) == full[:top_k]

@@ -25,6 +25,7 @@ from juryselect import (
     solve_oracle,
     solve_paym_greedy,
 )
+from juryselect import solver
 from juryselect.jer import Jury
 from juryselect.solver import _half_tables
 
@@ -140,6 +141,128 @@ class TestSolveAltrm:
         assert jers[5] == pytest.approx(0.07036, abs=1e-9)
         assert jers[3] == pytest.approx(0.072, abs=1e-9)
         assert jers[7] == pytest.approx(0.085248, abs=1e-9)
+
+
+def whole_row_advance(row, e, lo, hi, scratch):
+    """The earlier kernel: every entry but the first advanced, whatever the band."""
+    row[1:] = np.logaddexp(row[1:] + math.log1p(-e), row[:-1] + math.log(e))
+
+
+def counting_advance(monkeypatch):
+    """Route ``solver._advance`` through a counter; returns the call list."""
+    calls = []
+    kernel = solver._advance
+
+    def advance(*args):
+        calls.append(args[1])
+        kernel(*args)
+
+    monkeypatch.setattr(solver, "_advance", advance)
+    return calls
+
+
+def log_prefix_scan(pool):
+    """Every odd prefix's log error rate off a whole row: the scan without
+    band, bound or stop.  Returns (best size, its log tail, prefix count)."""
+    order = sorted(pool, key=lambda j: (j.epsilon, j.id))
+    n_max = len(order) - (len(order) % 2 == 0)
+    row = solver._empty_row((n_max + 1) // 2 + 1)
+    best = (math.inf, 0)
+    for n, juror in enumerate(order[:n_max], start=1):
+        whole_row_advance(row, juror.epsilon, 1, row.size, None)
+        if n % 2:
+            best = min(best, (float(row[(n + 1) // 2]), n))
+    return best[1], best[0], (n_max + 1) // 2
+
+
+class TestLiveBand:
+    """The band and the stop change no answer; the stop fires where it may."""
+
+    def test_band_matches_the_whole_row(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        pools = [
+            [Juror(f"s{i}", e, r) for i, (e, r) in enumerate(zip(rng.uniform(0.05, 0.6, n), rng.uniform(0, 0.2, n)))]
+            for n in (1, 2, 3, 4, 6, 10, 100)
+        ]
+        pools += [
+            gen_pool(SynthConfig(2000, 0.3, 0.1)),
+            gen_pool(SynthConfig(1000, 0.1, 0.1, seed=1)),
+            gen_pool(SynthConfig(2000, 0.3, 0.07, requirement_mean=0.001, requirement_stddev=0.001, seed=5)),
+        ]
+
+        def results():
+            return [(solve_altrm(pool, use_pruning=False), solve_paym_greedy(pool, 0.5)) for pool in pools]
+
+        banded = results()
+        monkeypatch.setattr(solver, "_advance", whole_row_advance)
+        assert banded == results()
+
+    def test_stop_fires_on_a_high_mean_pool(self, monkeypatch):
+        pool = gen_pool(SynthConfig(1000, 0.7, 0.1, seed=11))
+        advanced = counting_advance(monkeypatch)
+        result = solve_altrm(pool)
+        # Prefix 63 is the first whose mean wrong count reaches (n + 1) / 2.
+        assert len(advanced) == 63
+        assert result.jury.size == 11
+        assert result.juries_evaluated + result.juries_pruned == 500
+        advanced.clear()
+        full = solve_altrm(pool, use_pruning=False)
+        assert len(advanced) == 999
+        assert (full.jury, full.jer, full.log10_jer) == (result.jury, result.jer, result.log10_jer)
+
+    def test_answer_matches_a_full_log_scan(self, monkeypatch):
+        advanced = counting_advance(monkeypatch)
+        stopped = 0
+        for mean in (0.4, 0.5, 0.6, 0.7, 0.8):
+            for stddev in (0.05, 0.1, 0.2, 0.3):
+                for seed in range(4):
+                    pool = gen_pool(SynthConfig(301, mean, stddev, seed=seed))
+                    size, log_tail, prefixes = log_prefix_scan(pool)
+                    advanced.clear()
+                    result = solve_altrm(pool)
+                    stopped += len(advanced) < 301
+                    assert result.jury.size == size
+                    assert result.log10_jer == log_tail / math.log(10)
+                    assert result.jer == math.exp(log_tail)
+                    assert result.juries_evaluated + result.juries_pruned == prefixes
+        assert stopped >= 20
+
+    def test_error_rate_one_half_throughout_never_stops(self, monkeypatch):
+        # Every odd prefix errs with probability exactly 1/2, so the best
+        # is never below 1/2 and the first prefix keeps the lead.
+        advanced = counting_advance(monkeypatch)
+        for use_pruning in (True, False):
+            advanced.clear()
+            result = solve_altrm([Juror(f"h{i:03d}", 0.5) for i in range(201)], use_pruning=use_pruning)
+            assert len(advanced) == 201
+            assert result.jury.size == 1
+            assert result.jer == 0.5
+            assert result.juries_evaluated + result.juries_pruned == 101
+
+    def test_no_stop_while_the_best_errs_above_one_half(self, monkeypatch):
+        # Mean wrong counts pass (n + 1) / 2 from prefix 5 on, but the best
+        # jury, the first juror, errs with probability 0.629 > 1/2.
+        pool = gen_pool(SynthConfig(500, 0.9, 0.1, seed=1))
+        advanced = counting_advance(monkeypatch)
+        result = solve_altrm(pool)
+        assert len(advanced) == 499
+        assert result.jury.size == 1
+        assert result.juries_pruned > 0
+        assert result.juries_evaluated + result.juries_pruned == 250
+
+    def test_median_bound_behind_the_stop(self):
+        # Jogdeo & Samuels (1968): a Poisson-binomial count W with mean mu
+        # has P(W >= floor(mu)) >= 1/2.  Checked in exact arithmetic,
+        # including rates 0 and 1 and integer means.
+        rng = np.random.default_rng(61)
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            eps = [Fraction(int(k), 16) for k in rng.integers(0, 17, n)]
+            pmf = [Fraction(1)]
+            for e in eps:
+                pmf = [p * (1 - e) + q * e for p, q in zip(pmf + [0], [0] + pmf)]
+            mu = sum(eps)
+            assert sum(pmf[math.floor(mu) :]) >= Fraction(1, 2)
 
 
 @pytest.fixture(scope="module")
