@@ -25,7 +25,7 @@ for mean in (0.2, 0.35, 0.5, 0.7):
     print(
         f"  mean error {mean:.2f}: best jury size {result.jury.size:3d}, "
         f"error rate {result.jer:.3e}, "
-        f"{result.juries_pruned} prefixes skipped by the moment bound"
+        f"{result.juries_pruned} prefixes skipped by the stop rule"
     )
 print()
 print("Reliable crowds want big juries; error-prone crowds shrink to the")

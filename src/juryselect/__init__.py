@@ -27,7 +27,6 @@ from .estimate import (
     build_graph,
     hits,
     pagerank,
-    parse_retweet_chains,
     scores_to_error_rates,
 )
 from .experiments import ExperimentSpec, rank_candidates, run_experiment
@@ -100,7 +99,6 @@ __all__ = [
     "jer_naive",
     "monte_carlo_jer",
     "pagerank",
-    "parse_retweet_chains",
     "rank_candidates",
     "run_experiment",
     "scores_to_error_rates",

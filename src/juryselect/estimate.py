@@ -135,22 +135,15 @@ class ScoreMap:
     hubs: dict[str, float] | None = None
 
 
-def parse_retweet_chains(record: TweetRecord) -> list[tuple[str, str]]:
-    """Forwarding pairs implied by one tweet.
-
-    Every "RT @name" occurrence extends the chain author -> u1 -> u2 -> ...
-    in order of appearance; consecutive chain members become directed
-    pairs.  A marker with no username character after it is ignored.
-    """
-    chain = [record.author, *_RETWEET_MARKER.findall(record.content)]
-    return list(zip(chain, chain[1:]))
-
-
 def build_graph(corpus: Iterable[TweetRecord]) -> UserGraph:
     """Accumulate a corpus into a deduplicated directed user graph.
 
-    Every author becomes a node even without any forwarding relation;
-    repeated pairs collapse to one edge and self-forwards are dropped.
+    Every "RT @name" in a record's content extends the chain author ->
+    u1 -> u2 -> ... in order of appearance, and consecutive chain members
+    become directed pairs; a marker with no name character after it is
+    ignored.  Every author becomes a node even without any forwarding
+    relation; repeated pairs collapse to one edge and self-forwards are
+    dropped.
     One pass interns names to ints in order of first appearance; the ints
     are then renumbered into sorted-name order.
     """

@@ -171,7 +171,8 @@ class ExperimentSpec:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise InputFormatError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # As in io.read_corpus: integers past the digit limit, deep nesting.
+        except (ValueError, RecursionError) as exc:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
         return cls.from_dict(obj, base_dir=path.parent)
 

@@ -39,9 +39,12 @@ def read_jurors_csv(path: str | Path) -> list[Juror]:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
     try:
-        header = tuple(h.strip() for h in next(reader))
-    except StopIteration:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows:
         raise InputFormatError(f"{path}: empty file, expected header {','.join(POOL_HEADER)}")
+    header = tuple(h.strip() for h in rows[0])
     if header == POOL_HEADER:
         id_col, eps_col, req_col = 0, 1, 2
     elif header == SCORE_HEADER:
@@ -52,7 +55,7 @@ def read_jurors_csv(path: str | Path) -> list[Juror]:
             f"or {','.join(SCORE_HEADER)}, got {','.join(header)}"
         )
     jurors = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -115,7 +118,10 @@ def _parse_created_at(value) -> float | None:
                 parsed = parsed.replace(tzinfo=timezone.utc)
             stamp = parsed.timestamp()
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        stamp = float(value)
+        try:
+            stamp = float(value)
+        except OverflowError:  # an int beyond the float range
+            stamp = math.inf
     else:
         raise ValueError(f"bad author_created_at {value!r}")
     if not math.isfinite(stamp):
@@ -142,7 +148,9 @@ def read_corpus(path: str | Path) -> Iterator[TweetRecord]:
                     # Point at the extra data itself, as json.loads does.
                     extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
                     raise json.JSONDecodeError("Extra data", line, extra)
-            except json.JSONDecodeError as exc:
+            # ValueError also covers integers past the int-string digit
+            # limit, and RecursionError arrays or objects nested too deep.
+            except (ValueError, RecursionError) as exc:
                 raise CorpusError(f"{path}:{index}: invalid JSON: {exc}", index) from exc
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path}:{index}: expected an object per line", index)

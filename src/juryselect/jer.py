@@ -11,8 +11,10 @@ threshold (n+1)/2.  Three routes to the same tail probability live here:
   divide and conquer that builds the full wrong-count mass by polynomial
   convolution (FFT above a size cutoff).
 
-A Paley-Zygmund style lower bound (``jer_lower_bound``) lets callers skip
-full evaluations when the bound already exceeds a known-better value.
+``jer_lower_bound`` gives a Paley-Zygmund style lower bound on the tail
+from the first two moments of the wrong count, in O(n).  No solver uses
+it: the free scan reads each prefix's tail in O(1) from its rolling row,
+so skipping that read saves nothing.
 """
 
 from __future__ import annotations
@@ -324,18 +326,11 @@ def jer_lower_bound(jury: JuryLike) -> BoundDiagnostics:
     Paley-Zygmund inequality applies.
     """
     eps = _epsilons(jury)
-    n = int(eps.size)
     mu = float(eps.sum())
     sigma_sq = float((eps * (1.0 - eps)).sum())
-    gamma = ((n + 1) / 2) / mu
-    return BoundDiagnostics(mu=mu, sigma_sq=sigma_sq, gamma=gamma, bound=_moment_bound(n, mu, sigma_sq))
-
-
-def _moment_bound(n: int, mu: float, sigma_sq: float) -> float | None:
-    """Paley-Zygmund lower bound on an n-juror tail with wrong-count mean mu
-    and variance sigma_sq; None outside the window 0 < gamma < 1."""
-    gamma = ((n + 1) / 2) / mu
-    if not 0.0 < gamma < 1.0:
-        return None
-    lead = (1.0 - gamma) ** 2 * mu**2
-    return lead / (lead + sigma_sq)
+    gamma = ((eps.size + 1) / 2) / mu
+    bound = None
+    if 0.0 < gamma < 1.0:
+        lead = (1.0 - gamma) ** 2 * mu**2
+        bound = lead / (lead + sigma_sq)
+    return BoundDiagnostics(mu=mu, sigma_sq=sigma_sq, gamma=gamma, bound=bound)

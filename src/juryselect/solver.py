@@ -4,9 +4,8 @@ Two cost models:
 
 * free enrollment -- every subset is allowed; sorting candidates by error
   rate makes the best jury of each size a prefix, so ``solve_altrm`` scans
-  odd prefixes and is exactly optimal, optionally skipping prefixes whose
-  tail lower bound already exceeds the best error rate seen and stopping
-  once no longer prefix can win;
+  odd prefixes and is exactly optimal, optionally stopping once no longer
+  prefix can win;
 * paid enrollment -- a jury is feasible only if its summed requirements
   fit a budget.  Exact selection is intractable, so ``solve_paym_greedy``
   grows a jury in cheap pairs, and ``solve_oracle`` provides exact
@@ -32,7 +31,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import Juror, Jury, _moment_bound
+from .jer import Juror, Jury
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
 # and memory double with each candidate; the published effectiveness
@@ -169,63 +168,49 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     juror k feeds only entries l and l + 1 after juror k + 1, and prefix
     m <= n_max reads entry (m + 1) // 2.
 
-    With ``use_pruning`` two rules skip prefixes without changing the
-    returned jury; ``juries_pruned`` counts both, so it and
-    ``juries_evaluated`` sum to the number of odd prefixes:
-
-    * the moment lower bound, when it applies, skips reading the tail of
-      a prefix that provably cannot beat the best jury so far;
-    * the scan stops after prefix n once the best error rate so far is
-      below 1/2 by more than float noise and n's mean wrong count mu_n
-      is at least (n + 1) / 2.  Then n's jurors err more than 1/2 on
-      average, so the n-th does, and so does every later one, since they
-      are sorted.  Each later pair adds at least 1 to mu and exactly 1 to
-      the majority threshold, so every odd prefix m >= n has threshold
-      t_m = (m + 1) / 2 <= mu_m, hence t_m <= floor(mu_m).  A
-      Poisson-binomial count's median lies between floor(mu) and
-      ceil(mu) (Jogdeo & Samuels, 1968), so P(W_m >= t_m) >=
-      P(W_m >= floor(mu_m)) >= 1/2: no later prefix wins.  The float
-      noise, a 1e-9 relative slack on both tests, covers the rounding of
-      mu's running sum and of the row at any pool size the scan's
-      quadratic work can reach.
+    With ``use_pruning`` the scan stops after prefix n once the best
+    error rate so far is below 1/2 by more than float noise and n's mean
+    wrong count mu_n is at least (n + 1) / 2.  Then n's jurors err more
+    than 1/2 on average, so the n-th does, and so does every later one,
+    since they are sorted.  Each later pair adds at least 1 to mu and
+    exactly 1 to the majority threshold, so every odd prefix m >= n has
+    threshold t_m = (m + 1) / 2 <= mu_m, hence t_m <= floor(mu_m).  A
+    Poisson-binomial count's median lies between floor(mu) and ceil(mu)
+    (Jogdeo & Samuels, 1968), so P(W_m >= t_m) >= P(W_m >= floor(mu_m))
+    >= 1/2: no later prefix wins.  The float noise, a 1e-9 relative slack
+    on both tests, covers the rounding of mu's running sum and of the row
+    at any pool size the scan's quadratic work can reach.
+    ``juries_evaluated`` counts the odd prefixes read and
+    ``juries_pruned`` those the stop skips, so they sum to the number of
+    odd prefixes.
     """
     order = sorted(_candidates(pool), key=lambda j: (j.epsilon, j.id))
-    eps = [j.epsilon for j in order]
-    n_max = len(eps) if len(eps) % 2 == 1 else len(eps) - 1
+    n_max = len(order) if len(order) % 2 == 1 else len(order) - 1
 
     row = _empty_row((n_max + 1) // 2 + 1)
     scratch = np.empty((2, row.size))
     reach = (n_max - 1) // 2
     best_n = 0
     best_log = math.inf
-    evaluated = 0
-    pruned = 0
     mu = 0.0
-    sigma_sq = 0.0
-    for n in range(1, n_max + 1, 2):
-        new = eps[max(n - 2, 0) : n]
-        for k, e in enumerate(new, start=n + 1 - len(new)):
-            _advance(row, e, max(1, k - reach), min(k + 1, row.size), scratch)
-        mu += sum(new)
-        sigma_sq += sum(e * (1.0 - e) for e in new)
-        bound = _moment_bound(n, mu, sigma_sq) if use_pruning else None
-        # Compared in logs: best_log may lie below the float floor.
-        if bound is not None and math.log(bound) > best_log:
-            pruned += 1
-        else:
-            evaluated += 1
-            tail = float(row[(n + 1) // 2])
-            if tail < best_log:
-                best_log = tail
-                best_n = n
+    for n, juror in enumerate(order[:n_max], start=1):
+        _advance(row, juror.epsilon, max(1, n - reach), min(n + 1, row.size), scratch)
+        mu += juror.epsilon
+        if n % 2 == 0:
+            continue
+        tail = float(row[(n + 1) // 2])
+        if tail < best_log:
+            best_log = tail
+            best_n = n
         if (
             use_pruning
             and mu >= (n + 1) / 2 * (1.0 + _STOP_RTOL)
             and best_log < _LOG_HALF - _STOP_RTOL
         ):
-            pruned += (n_max - n) // 2
             break
 
+    evaluated = (n + 1) // 2
+    pruned = (n_max + 1) // 2 - evaluated
     jury = Jury(tuple(order[:best_n]))
     cost = sum(j.requirement for j in jury.members)
     return SolveResult(jury, math.exp(best_log), best_log / math.log(10), cost, evaluated, pruned)

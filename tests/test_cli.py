@@ -165,6 +165,46 @@ class TestOutOfRangeEpsilon:
         assert "outside [0, 1]" in captured.err
 
 
+# JSON values that the decoder rejects with other than a JSONDecodeError.
+UNDECODABLE_JSON_VALUES = pytest.mark.parametrize(
+    "value",
+    ["[" * 100_000 + "]" * 100_000, "1" * 5_000],
+    ids=["nested-too-deep", "integer-past-digit-limit"],
+)
+
+
+class TestUndecodableInput:
+    """Input that the readers' decoders fail on in unusual ways still exits
+    2 with the file and the line or record."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["jer"], ["solve", "--model", "altrm"], ["solve", "--model", "paym", "--budget", "1"]],
+        ids=["jer", "solve-altrm", "solve-paym"],
+    )
+    def test_pool_field_past_the_csv_limit(self, tmp_path, capsys, argv):
+        rows = ["A,0.1,0", f"B,{'1' * 200_000},0"]
+        path = write_lines(tmp_path / "wide.csv", "id,epsilon,requirement", *rows)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: field larger than field limit")
+
+    @UNDECODABLE_JSON_VALUES
+    def test_corpus_record(self, tmp_path, capsys, value):
+        records = ['{"author": "a", "content": "RT @b"}', f'{{"author": "b", "content": "x", "x": {value}}}']
+        path = write_lines(tmp_path / "bad.ndjson", *records)
+        assert main(["rank", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:2: invalid JSON: ")
+
+    @UNDECODABLE_JSON_VALUES
+    def test_spec(self, tmp_path, capsys, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"kind": "altrm-traits", "seeds": {value}}}')
+        assert main(["experiment", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec}: invalid JSON: ")
+
+
 class TestCmdSolve:
     def test_altrm_motivating_pool(self, fig1_csv, capsys):
         assert main(["solve", str(fig1_csv), "--model", "altrm"]) == 0
@@ -250,7 +290,10 @@ class TestCmdRank:
         assert captured.out == ""
         assert "--top-k" in captured.err
 
-    @pytest.mark.parametrize("stamp", ["NaN", "Infinity", "1e999", '"inf"'])
+    @pytest.mark.parametrize(
+        "stamp",
+        ["NaN", "Infinity", "1e999", '"inf"', pytest.param("1" + "0" * 400, id="int-past-float-range")],
+    )
     def test_non_finite_registration_time_exits_2(self, tmp_path, capsys, stamp):
         path = tmp_path / "aged.ndjson"
         path.write_text(

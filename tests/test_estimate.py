@@ -22,7 +22,6 @@ from juryselect import (
     build_graph,
     hits,
     pagerank,
-    parse_retweet_chains,
     scores_to_error_rates,
 )
 
@@ -32,28 +31,32 @@ def graph_of(*edges, extra_nodes=()):
     return UserGraph(frozenset(nodes), frozenset(edges))
 
 
+def chain_edges(author, content):
+    return build_graph([TweetRecord(author, content)]).edges
+
+
 class TestParseRetweetChains:
+    """The chain rule, as ``build_graph`` applies it to one record."""
+
     def test_two_markers_build_a_chain(self):
-        record = TweetRecord("carol", "great news RT @alice check RT @bob original")
-        assert parse_retweet_chains(record) == [("carol", "alice"), ("alice", "bob")]
+        edges = chain_edges("carol", "great news RT @alice check RT @bob original")
+        assert edges == {("carol", "alice"), ("alice", "bob")}
 
     def test_single_marker(self):
-        record = TweetRecord("erin", "RT @dave hello")
-        assert parse_retweet_chains(record) == [("erin", "dave")]
+        assert chain_edges("erin", "RT @dave hello") == {("erin", "dave")}
 
     def test_no_marker(self):
-        assert parse_retweet_chains(TweetRecord("erin", "no retweets here")) == []
+        assert chain_edges("erin", "no retweets here") == frozenset()
 
     def test_marker_without_username_ignored(self):
-        assert parse_retweet_chains(TweetRecord("erin", "RT @ hello")) == []
-        assert parse_retweet_chains(TweetRecord("erin", "ends with RT @")) == []
+        assert chain_edges("erin", "RT @ hello") == frozenset()
+        assert chain_edges("erin", "ends with RT @") == frozenset()
 
     def test_username_is_maximal_word_run(self):
-        record = TweetRecord("a", "RT @user_1: fine")
-        assert parse_retweet_chains(record) == [("a", "user_1")]
+        assert chain_edges("a", "RT @user_1: fine") == {("a", "user_1")}
 
     def test_case_sensitive_marker(self):
-        assert parse_retweet_chains(TweetRecord("a", "rt @b nope")) == []
+        assert chain_edges("a", "rt @b nope") == frozenset()
 
 
 class TestBuildGraph:

@@ -1,5 +1,7 @@
 """File format round trips and failure modes."""
 
+import re
+
 import pytest
 
 from juryselect import CorpusError, InputFormatError, Juror
@@ -52,6 +54,12 @@ class TestPoolCsv:
         path = tmp_path / "pool.csv"
         path.write_text("id,epsilon,requirement\na,0,0\nb,1,0\nc,-0.0,0\n")
         assert [j.epsilon for j in read_jurors_csv(path)] == [1e-6, 1 - 1e-6, 1e-6]
+
+    def test_field_past_the_csv_limit_rejected_with_line(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text(f"id,epsilon,requirement\na,0.1,0\nb,{'1' * 200_000},0\n")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: field larger"):
+            read_jurors_csv(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "pool.csv"
@@ -117,6 +125,18 @@ class TestCorpus:
             list(read_corpus(path))
         assert err.value.record_index == 2
 
+    @pytest.mark.parametrize(
+        "value",
+        ["[" * 100_000 + "]" * 100_000, "1" * 5_000],
+        ids=["nested-too-deep", "integer-past-digit-limit"],
+    )
+    def test_undecodable_value_carries_record_index(self, tmp_path, value):
+        path = tmp_path / "tweets.ndjson"
+        path.write_text(f'{{"author": "a", "content": "x"}}\n{{"author": "b", "x": {value}}}\n')
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: invalid JSON: ") as err:
+            list(read_corpus(path))
+        assert err.value.record_index == 2
+
     def test_missing_author_rejected(self, tmp_path):
         path = tmp_path / "tweets.ndjson"
         path.write_text('{"content": "x"}\n')
@@ -130,7 +150,13 @@ class TestCorpus:
             list(read_corpus(path))
         assert err.value.record_index == 1
 
-    @pytest.mark.parametrize("stamp", ["NaN", "Infinity", "-Infinity", "1e999", '"inf"', '"nan"'])
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            *["NaN", "Infinity", "-Infinity", "1e999", '"inf"', '"nan"'],
+            pytest.param("1" + "0" * 400, id="int-past-float-range"),
+        ],
+    )
     def test_non_finite_timestamp_rejected_with_record_index(self, tmp_path, stamp):
         path = tmp_path / "tweets.ndjson"
         path.write_text(

@@ -116,10 +116,13 @@ class TestSolveAltrm:
             assert with_pruning.juries_pruned >= 0
             assert without.juries_pruned == 0
 
-    def test_pruning_actually_skips_on_error_prone_pools(self):
+    def test_error_prone_pools_read_every_prefix(self):
+        # The best jury, the first juror, errs with probability 0.8 > 1/2,
+        # so the stop never fires.
         pool = [Juror(f"j{i}", 0.8) for i in range(21)]
         result = solve_altrm(pool, use_pruning=True)
-        assert result.juries_pruned > 0
+        assert (result.juries_evaluated, result.juries_pruned) == (11, 0)
+        assert result.jury.size == 1
 
     def test_matches_oracle_on_random_pools(self):
         rng = np.random.default_rng(37)
@@ -210,6 +213,15 @@ class TestLiveBand:
         assert len(advanced) == 999
         assert (full.jury, full.jer, full.log10_jer) == (result.jury, result.jer, result.log10_jer)
 
+    @pytest.mark.parametrize(
+        "mean, counts", [(0.2, (500, 0)), (0.5, (499, 1)), (0.7, (32, 468))]
+    )
+    def test_counters_on_criterion_11_pools(self, mean, counts):
+        # Only the stop skips prefixes.  It never fires at mean 0.2, and
+        # fires after prefix 997 of 999 at 0.5 and after prefix 63 at 0.7.
+        result = solve_altrm(gen_pool(SynthConfig(1000, mean, 0.1, seed=11)))
+        assert (result.juries_evaluated, result.juries_pruned) == counts
+
     def test_answer_matches_a_full_log_scan(self, monkeypatch):
         advanced = counting_advance(monkeypatch)
         stopped = 0
@@ -247,8 +259,7 @@ class TestLiveBand:
         result = solve_altrm(pool)
         assert len(advanced) == 499
         assert result.jury.size == 1
-        assert result.juries_pruned > 0
-        assert result.juries_evaluated + result.juries_pruned == 250
+        assert (result.juries_evaluated, result.juries_pruned) == (250, 0)
 
     def test_median_bound_behind_the_stop(self):
         # Jogdeo & Samuels (1968): a Poisson-binomial count W with mean mu
