@@ -34,17 +34,19 @@ def read_jurors_csv(path: str | Path) -> list[Juror]:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            # line_num counts physical lines; a quoted field may span several.
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    try:
-        rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(_undecodable(path, exc)[1]) from exc
     except csv.Error as exc:
         raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise InputFormatError(f"{path}: empty file, expected header {','.join(POOL_HEADER)}")
-    header = tuple(h.strip() for h in rows[0])
+    header = tuple(h.strip() for h in rows[0][1])
     if header == POOL_HEADER:
         id_col, eps_col, req_col = 0, 1, 2
     elif header == SCORE_HEADER:
@@ -55,7 +57,7 @@ def read_jurors_csv(path: str | Path) -> list[Juror]:
             f"or {','.join(SCORE_HEADER)}, got {','.join(header)}"
         )
     jurors = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -81,6 +83,20 @@ def read_jurors_csv(path: str | Path) -> list[Juror]:
         except ValueError as exc:
             raise InputFormatError(f"{path}:{line_no}: {exc}") from exc
     return jurors
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> tuple[int | None, str]:
+    """The first line of ``path`` that is not UTF-8, and a ``path:line:``
+    message for it, found by rescanning the bytes once decoding has failed.
+    Lines end at \\n, \\r or \\r\\n, as the text readers count them."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        head = data[: bad.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return line, f"{path}:{line}: cannot decode byte 0x{data[bad.start]:02x} as UTF-8 ({bad.reason})"
+    return None, f"{path}: {exc}"  # the file changed since
 
 
 def read_pool_csv(path: str | Path) -> CandidatePool:
@@ -138,33 +154,37 @@ def read_corpus(path: str | Path) -> Iterator[TweetRecord]:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     decode = json.JSONDecoder().raw_decode
     with handle:
-        for index, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = decode(line)
-                if end != len(line):
-                    # Point at the extra data itself, as json.loads does.
-                    extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
-                    raise json.JSONDecodeError("Extra data", line, extra)
-            # ValueError also covers integers past the int-string digit
-            # limit, and RecursionError arrays or objects nested too deep.
-            except (ValueError, RecursionError) as exc:
-                raise CorpusError(f"{path}:{index}: invalid JSON: {exc}", index) from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{index}: expected an object per line", index)
-            author = obj.get("author")
-            content = obj.get("content")
-            if not isinstance(author, str) or not author:
-                raise CorpusError(f"{path}:{index}: missing or empty 'author'", index)
-            if not isinstance(content, str):
-                raise CorpusError(f"{path}:{index}: missing 'content'", index)
-            try:
-                created = _parse_created_at(obj.get("author_created_at"))
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{index}: {exc}", index) from exc
-            yield TweetRecord(author, content, created)
+        try:
+            for index, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj, end = decode(line)
+                    if end != len(line):
+                        # Point at the extra data itself, as json.loads does.
+                        extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
+                        raise json.JSONDecodeError("Extra data", line, extra)
+                # ValueError also covers integers past the int-string digit
+                # limit, and RecursionError arrays or objects nested too deep.
+                except (ValueError, RecursionError) as exc:
+                    raise CorpusError(f"{path}:{index}: invalid JSON: {exc}", index) from exc
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"{path}:{index}: expected an object per line", index)
+                author = obj.get("author")
+                content = obj.get("content")
+                if not isinstance(author, str) or not author:
+                    raise CorpusError(f"{path}:{index}: missing or empty 'author'", index)
+                if not isinstance(content, str):
+                    raise CorpusError(f"{path}:{index}: missing 'content'", index)
+                try:
+                    created = _parse_created_at(obj.get("author_created_at"))
+                except ValueError as exc:
+                    raise CorpusError(f"{path}:{index}: {exc}", index) from exc
+                yield TweetRecord(author, content, created)
+        except UnicodeDecodeError as exc:
+            line, message = _undecodable(path, exc)
+            raise CorpusError(message, line) from exc
 
 
 def write_corpus(path: str | Path, records: Iterable[TweetRecord]) -> None:

@@ -171,15 +171,6 @@ class WrongCountDistribution:
         """The group size n; the mass vector has n + 1 entries."""
         return self.mass.size - 1
 
-    def __len__(self) -> int:
-        return self.mass.size
-
-    def __getitem__(self, index):
-        return self.mass[index]
-
-    def __iter__(self):
-        return iter(self.mass)
-
 
 @dataclass(frozen=True)
 class BoundDiagnostics:

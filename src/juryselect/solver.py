@@ -273,59 +273,49 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 
 
-def _half_tables(half: tuple[Juror, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Per subset size s = 0..len(half): index combos, wrong-count pmf rows,
-    costs, and the row of the s lowest error rates.
+def _half_table(half: tuple[Juror, ...]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Every subset of ``half`` in one table built by doubling (Horowitz &
+    Sahni): wrong-count pmfs, shape (h + 1, 2**h), and costs, one column
+    per subset; per size s, the size-s columns in lexicographic order; and
+    lowest[s], the column of the s lowest error rates.
 
-    Combos come in lexicographic row order; pmf rows have s + 1 columns.
-
-    All pmfs come from one table built by doubling (Horowitz & Sahni):
-    column v holds the subset whose member i is bit h - 1 - i of v, and
+    Column v holds the subset whose member i is bit h - 1 - i of v, and
     member i is absorbed by writing the columns with that bit set from
     those without it.  Members are absorbed in ascending order, so each
-    pmf sees the same float operations as one built juror by juror.  With
-    member 0 on the top bit, descending v is lexicographic order within
-    one size: v is the bit-reversed subset mask.
+    pmf sees the same float operations as one built juror by juror, and
+    each cost is summed left to right.  With member 0 on the top bit,
+    descending v is lexicographic order within one size.
     """
     h = len(half)
-    eps = np.array([j.epsilon for j in half])
-    req = np.array([j.requirement for j in half])
     pmf = np.zeros((h + 1, 2**h))
     pmf[0, 0] = 1.0
+    cost = np.zeros(2**h)
     size = np.zeros(2**h, dtype=np.uint8)
-    for i, e in enumerate(eps):
+    for i, juror in enumerate(half):
         step = 2 ** (h - i)
         old, new = pmf[:, ::step], pmf[:, step // 2 :: step]
-        np.multiply(old, 1.0 - e, out=new)
-        new[1:] += old[:-1] * e
+        np.multiply(old, 1.0 - juror.epsilon, out=new)
+        new[1:] += old[:-1] * juror.epsilon
+        cost[step // 2 :: step] = cost[::step] + juror.requirement
         size[step // 2 :: step] = size[::step] + 1
-    # Columns by size, then in lexicographic order.
-    order = 2**h - 1 - np.argsort(size[::-1], kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(2**h)
-    # Member indices, ascending within each subset, subsets in that order
-    # (empty when h = 0, so `% h` meets no element).
-    members = np.flatnonzero(order[:, None] & (1 << np.arange(h)[::-1]) != 0) % h
-    # lowest[s]: the column of the s lowest error rates.
+    cols = [np.flatnonzero(size == s)[::-1] for s in range(h + 1)]
+    eps = np.array([j.epsilon for j in half])
     lowest = np.concatenate([[0], np.cumsum(1 << (h - 1 - np.argsort(eps, kind="stable")))])
-    tables = []
-    start = offset = 0
-    for s in range(h + 1):
-        stop = start + math.comb(h, s)
-        combos = members[offset : offset + (stop - start) * s].reshape(stop - start, s)
-        best = int(position[lowest[s]] - start)
-        tables.append((combos, pmf[: s + 1, order[start:stop]].T.copy(), req[combos].sum(axis=1), best))
-        start, offset = stop, offset + combos.size
-    return tables
+    return pmf, cols, cost, lowest
+
+
+def _members(column: int, h: int) -> list[int]:
+    """Member indices, ascending, of ``column`` in an h-member table."""
+    return [i for i in range(h) if column >> (h - 1 - i) & 1]
 
 
 def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     """Exact ground truth: the best odd, budget-feasible jury.
 
     Meets in the middle (Horowitz & Sahni): the id-sorted pool splits into
-    halves A and B, and every subset of each half gets its wrong-count
-    pmf and cost.  The unions of a size-a subset of A with a size-b subset
-    of B, a + b = 2t - 1, form one block; the union errs when
+    halves A and B, and one table per half holds every subset's
+    wrong-count pmf and cost.  The unions of a size-a subset of A with a
+    size-b subset of B, a + b = 2t - 1, form one block; the union errs when
     W_A + W_B >= t, so the block's error rates are one matmul of A's pmf
     rows against B's tail rows P(W_B >= t - w).  Branch and bound (Land &
     Doig) skips blocks: a jury's error rate never falls as a member's
@@ -334,6 +324,7 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     exceeds the tie window below; a block whose cheapest union overruns
     the budget is skipped too.  ``juries_evaluated`` counts the odd
     subsets priced, ``juries_pruned`` those skipped; they sum to 2**(n-1).
+    Only the winner's members are decoded from its table columns.
 
     Every feasible jury whose float error rate is at most
     ``low * (1 + 1e-13)``, with ``low`` the least one, counts as tied with
@@ -350,12 +341,10 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         raise SizeLimitExceeded(f"oracle enumeration capped at {ORACLE_SIZE_MAX}, got {n}")
     budget_amount = _amount(budget)
 
-    # Every index in A is below every index in B, so an (A part, B part)
-    # index tuple lists its members in id order.
     order = tuple(sorted(candidates, key=lambda j: j.id))
     split = n // 2
-    combos_a, pmf_a, cost_a, best_a = zip(*_half_tables(order[:split]))
-    combos_b, pmf_b, cost_b, best_b = zip(*_half_tables(order[split:]))
+    pmf_a, cols_a, cost_a, lowest_a = _half_table(order[:split])
+    pmf_b, cols_b, cost_b, lowest_b = _half_table(order[split:])
 
     def tails(pmf):
         # P(W_B >= j) for j = 0..len(B) + 1, summed from the top.
@@ -363,33 +352,27 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         out[:, : pmf.shape[1]] = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
         return out
 
-    def lowest_rows(pmf, best):
-        # Row s: the pmf of the half's s lowest error rates, zero-padded.
-        rows = np.zeros((len(pmf), len(pmf)))
-        for s, (table, i) in enumerate(zip(pmf, best)):
-            rows[s, : s + 1] = table[i]
-        return rows
-
     tails_b = {}  # size b -> B's tail rows, summed when a block first needs them
 
     def block(a, b):
         if b not in tails_b:
-            tails_b[b] = tails(pmf_b[b])
+            tails_b[b] = tails(pmf_b[: b + 1, cols_b[b]].T)
         # Tails past B's size are 0, so only w > t needs clipping, to P(W_B >= 0).
-        jer = pmf_a[a] @ tails_b[b][:, np.maximum((a + b + 1) // 2 - np.arange(a + 1), 0)].T
-        cost = cost_a[a][:, None] + cost_b[b][None, :]
+        column = np.maximum((a + b + 1) // 2 - np.arange(a + 1), 0)
+        jer = pmf_a[: a + 1, cols_a[a]].T @ tails_b[b][:, column].T
+        cost = cost_a[cols_a[a]][:, None] + cost_b[cols_b[b]][None, :]
         return jer, cost, cost <= budget_amount
 
     # Every (a, b) block at once: its bound, and whether even its cheapest
     # union overruns the budget.  Float addition is monotone, so that skip
     # is exact.
-    count = np.outer([c.size for c in cost_a], [c.size for c in cost_b])
+    count = np.outer([c.size for c in cols_a], [c.size for c in cols_b])
     size_a, size_b = np.indices(count.shape)
     # column[a, b, w]: where P(W_B >= t - w) sits in a tail row, as in block().
     column = np.maximum((size_a + size_b + 1)[..., None] // 2 - np.arange(split + 1), 0)
-    low_tails_b = tails(lowest_rows(pmf_b, best_b))[size_b[..., None], column]
-    lower = (lowest_rows(pmf_a, best_a)[:, None, :] * low_tails_b).sum(axis=2)
-    cheapest = np.array([c.min() for c in cost_a])[:, None] + np.array([c.min() for c in cost_b])
+    low_tails_b = tails(pmf_b[:, lowest_b].T)[size_b[..., None], column]
+    lower = (pmf_a[:, lowest_a].T[:, None, :] * low_tails_b).sum(axis=2)
+    cheapest = np.add.outer([cost_a[c].min() for c in cols_a], [cost_b[c].min() for c in cols_b])
     odd = (size_a + size_b) % 2 == 1
     live = odd & (cheapest <= budget_amount)
     evaluated = 0
@@ -404,15 +387,15 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     lows = {}
     for bound, a, b in sorted(bounds):
         if bound * (1.0 - _BOUND_SLACK) > min(lows.values(), default=math.inf) * (1.0 + _TIE_RTOL):
-            pruned += cost_a[a].size * cost_b[b].size
+            pruned += cols_a[a].size * cols_b[b].size
         else:
-            evaluated += cost_a[a].size * cost_b[b].size
+            evaluated += cols_a[a].size * cols_b[b].size
             lows[a, b] = block_low(a, b)
     if min(lows.values(), default=math.inf) == math.inf:
         raise NoAffordableJuror(f"no odd subset fits the budget {budget_amount}")
 
     tied = min(lows.values()) * (1.0 + _TIE_RTOL)
-    best = None  # (cost, size, member indices, jer)
+    winner = None  # (cost, size, -union column, jer)
     for (a, b), low in lows.items():
         if low > tied:
             continue
@@ -421,13 +404,15 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         # hit is the tie winner among equal costs.
         pick = np.argmin(np.where(feasible & (jer <= tied), cost, np.inf))
         i, j = np.unravel_index(pick, cost.shape)
-        indices = (*combos_a[a][i], *(split + combos_b[b][j]))
-        key = (float(cost[i, j]), a + b, indices, float(jer[i, j]))
-        if best is None or key < best:
-            best = key
+        # The union's column in an n-member table, A's bits above B's.  For
+        # unions of one size, the larger column has the smaller member ids.
+        union = int(cols_a[a][i]) << (n - split) | int(cols_b[b][j])
+        key = (float(cost[i, j]), a + b, -union, float(jer[i, j]))
+        if winner is None or key < winner:
+            winner = key
 
-    total_cost, _, indices, jer = best
-    members = tuple(order[i] for i in indices)
+    total_cost, _, union, jer = winner
+    members = tuple(order[i] for i in _members(-union, n))
     return SolveResult(Jury(members), jer, math.log10(jer), total_cost, evaluated, pruned)
 
 

@@ -173,20 +173,40 @@ UNDECODABLE_JSON_VALUES = pytest.mark.parametrize(
 )
 
 
+POOL_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [["jer"], ["solve", "--model", "altrm"], ["solve", "--model", "paym", "--budget", "1"]],
+    ids=["jer", "solve-altrm", "solve-paym"],
+)
+
+
 class TestUndecodableInput:
     """Input that the readers' decoders fail on in unusual ways still exits
     2 with the file and the line or record."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["jer"], ["solve", "--model", "altrm"], ["solve", "--model", "paym", "--budget", "1"]],
-        ids=["jer", "solve-altrm", "solve-paym"],
-    )
+    @POOL_COMMANDS
     def test_pool_field_past_the_csv_limit(self, tmp_path, capsys, argv):
         rows = ["A,0.1,0", f"B,{'1' * 200_000},0"]
         path = write_lines(tmp_path / "wide.csv", "id,epsilon,requirement", *rows)
         assert main([argv[0], str(path), *argv[1:]]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3: field larger than field limit")
+
+    @POOL_COMMANDS
+    def test_pool_byte_not_utf8(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,epsilon,requirement\nA,0.1,0\nB\xff,0.2,0\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:3: cannot decode byte 0xff as UTF-8")
+
+    def test_corpus_byte_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(b'{"author": "a", "content": "RT @b"}\n{"author": "b\xff", "content": "x"}\n')
+        assert main(["rank", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:2: cannot decode byte 0xff as UTF-8")
 
     @UNDECODABLE_JSON_VALUES
     def test_corpus_record(self, tmp_path, capsys, value):
@@ -409,6 +429,19 @@ class TestCmdRankSolveRoundTrip:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_cost"] <= 1.0
         assert payload["jury_ids"]
+
+    def test_username_with_a_line_break_keeps_it(self, tmp_path, capsys):
+        # "a\nb" registered last, so it alone costs nothing and fits budget 0.
+        corpus = tmp_path / "corpus.ndjson"
+        records = [
+            {"author": "a\nb", "content": "RT @x", "author_created_at": 1000},
+            {"author": "x", "content": "hello", "author_created_at": 0},
+        ]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        scores = tmp_path / "scores.csv"
+        assert main(["rank", str(corpus), "--out", str(scores)]) == 0
+        assert main(["solve", str(scores), "--model", "paym", "--budget", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["jury_ids"] == ["a\nb"]
 
 
 class TestCmdExperiment:

@@ -61,6 +61,29 @@ class TestPoolCsv:
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: field larger"):
             read_jurors_csv(path)
 
+    def test_quoted_line_break_kept_in_id(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(b'id,epsilon,requirement\n"a\nb",0.1,0\n')
+        assert [j.id for j in read_jurors_csv(path)] == ["a\nb"]
+
+    def test_line_numbers_count_the_lines_of_a_quoted_field(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(b'id,epsilon,requirement\n"a\nb",0.1,0\nc,zz,0\n')
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:4: could not convert"):
+            read_jurors_csv(path)
+
+    def test_unicode_line_separator_kept_in_id(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("id,epsilon,requirement\na\u2028b,0.1,0\n", encoding="utf-8")
+        assert [j.id for j in read_jurors_csv(path)] == ["a\u2028b"]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_rejected_with_line(self, tmp_path, newline):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(newline.join([b"id,epsilon,requirement", b"a,0.1,0", b"b\xff,0.2,0", b""]))
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: cannot decode byte 0xff"):
+            read_jurors_csv(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "pool.csv"
         path.write_text("id,epsilon,requirement\na,0.1\n")
@@ -136,6 +159,18 @@ class TestCorpus:
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: invalid JSON: ") as err:
             list(read_corpus(path))
         assert err.value.record_index == 2
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("good", [1, 1000])
+    def test_undecodable_byte_carries_record_index(self, tmp_path, newline, good):
+        # 1,000 good records fill more than one read chunk, so some are
+        # yielded before decoding fails.
+        path = tmp_path / "tweets.ndjson"
+        records = [b'{"author": "a", "content": "x"}'] * good + [b'{"author": "b\xff", "content": "y"}', b""]
+        path.write_bytes(newline.join(records))
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:{good + 1}: cannot decode byte 0xff") as err:
+            list(read_corpus(path))
+        assert err.value.record_index == good + 1
 
     def test_missing_author_rejected(self, tmp_path):
         path = tmp_path / "tweets.ndjson"

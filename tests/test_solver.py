@@ -27,7 +27,7 @@ from juryselect import (
 )
 from juryselect import solver
 from juryselect.jer import Jury
-from juryselect.solver import _half_tables
+from juryselect.solver import _half_table, _members
 
 
 def make_pool(rows):
@@ -406,9 +406,13 @@ def exact_jer(epsilons):
 
 
 def oracle(pool, budget):
-    """``solve_oracle``, checking that every odd subset was either priced or pruned."""
+    """``solve_oracle``, checking that every odd subset was either priced or
+    pruned and that the cost is the members' requirement sum, within budget."""
     result = solve_oracle(pool, budget)
     assert result.juries_evaluated + result.juries_pruned == 2 ** (len(pool) - 1)
+    cost = math.fsum(j.requirement for j in result.jury.members)
+    assert result.total_cost <= budget
+    assert abs(result.total_cost - cost) <= 1e-12 * cost
     return result
 
 
@@ -441,26 +445,9 @@ def brute_force_oracle(pool, budget):
     return jer[best], ids(best)
 
 
-def reference_half_tables(half):
-    """The subset tables built one size at a time from ``itertools.combinations``,
-    one pmf column at a time: what the doubling table must reproduce bit for bit.
-    """
-    eps = np.array([j.epsilon for j in half])
-    req = np.array([j.requirement for j in half])
-    lowest = np.argsort(eps, kind="stable")
-    tables = []
-    for s in range(len(half) + 1):
-        combos = np.array(list(itertools.combinations(range(len(half)), s)), dtype=np.intp)
-        combos = combos.reshape(math.comb(len(half), s), s)
-        pmf = np.zeros((len(combos), s + 1))
-        pmf[:, 0] = 1.0
-        for col in combos.T:
-            e = eps[col][:, None]
-            pmf[:, 1:] = pmf[:, 1:] * (1.0 - e) + pmf[:, :-1] * e
-            pmf[:, :1] *= 1.0 - e
-        best = int(np.flatnonzero((combos == np.sort(lowest[:s])).all(axis=1))[0])
-        tables.append((combos, pmf, req[combos].sum(axis=1), best))
-    return tables
+def column_of(combo, h):
+    """The doubling table's column of a subset: member i is bit h - 1 - i."""
+    return sum(1 << (h - 1 - i) for i in combo)
 
 
 class TestHalfTables:
@@ -468,7 +455,7 @@ class TestHalfTables:
     def test_doubling_matches_the_per_size_tables(self, h):
         rng = np.random.default_rng(59 + h)
         halves = [
-            # Tied error rates, so the stable argsort's tie order picks best.
+            # Tied error rates, so the stable tie order picks lowest.
             (rng.choice([0.1, 0.2, 0.3], h), rng.uniform(0.0, 1.0, h)),
             (rng.uniform(0.05, 0.95, h), np.zeros(h)),
             (rng.uniform(0.05, 0.95, h), np.full(h, 0.25)),
@@ -476,14 +463,28 @@ class TestHalfTables:
         ]
         for eps, req in halves:
             half = tuple(Juror(f"j{i:02d}", e, r) for i, (e, r) in enumerate(zip(eps, req)))
-            tables = _half_tables(half)
-            reference = reference_half_tables(half)
-            assert len(tables) == len(reference) == h + 1
-            for got, want in zip(tables, reference):
-                for x, y in zip(got[:3], want[:3]):  # combos, pmf, cost
-                    assert x.shape == y.shape and x.dtype == y.dtype
-                    assert np.array_equal(x, y)
-                assert got[3] == want[3]  # best
+            pmf, cols, cost, lowest = _half_table(half)
+            assert pmf.shape == (h + 1, 2**h) and len(cols) == len(lowest) == h + 1
+            by_rate = sorted(range(h), key=lambda i: half[i].epsilon)
+            for s in range(h + 1):
+                combos = list(itertools.combinations(range(h), s))
+                assert cols[s].tolist() == [column_of(c, h) for c in combos]
+                assert lowest[s] == column_of(by_rate[:s], h)
+                for combo in combos:
+                    column = column_of(combo, h)
+                    assert _members(column, h) == list(combo)
+                    # Juror by juror, and costs left to right: builtin sum
+                    # compensates on newer Pythons.
+                    want = np.zeros(h + 1)
+                    want[0] = 1.0
+                    total = 0.0
+                    for i in combo:
+                        e = half[i].epsilon
+                        want[1:] = want[1:] * (1.0 - e) + want[:-1] * e
+                        want[:1] *= 1.0 - e
+                        total += half[i].requirement
+                    assert np.array_equal(pmf[:, column], want)
+                    assert cost[column] == total
 
 
 class TestSolveOracle:
