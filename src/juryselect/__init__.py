@@ -42,6 +42,7 @@ from .jer import (
     jer_from_distribution,
     jer_lower_bound,
     jer_naive,
+    log_jer,
     wrong_count_distribution,
 )
 from .solver import (
@@ -97,6 +98,7 @@ __all__ = [
     "jer_from_distribution",
     "jer_lower_bound",
     "jer_naive",
+    "log_jer",
     "monte_carlo_jer",
     "pagerank",
     "rank_candidates",

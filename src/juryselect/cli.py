@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
 from .estimate import RankConfig
 from .experiments import RANK_METHODS, ExperimentSpec, rank_candidates, run_experiment
 from .io import read_jurors_csv, read_pool_csv, write_pool_csv, write_scores_csv
-from .jer import Jury, jer_cba, jer_dp, jer_naive
+from .jer import Jury, jer_cba, jer_naive, log_jer
 from .solver import solve_altrm, solve_paym_greedy
 from .synth import SynthConfig, gen_pool
 
@@ -45,14 +46,30 @@ _EXIT_CODES = {
     OSError: 2,
 }
 
-_JER_ALGORITHMS = {"naive": jer_naive, "dp": jer_dp, "cba": jer_cba}
+_JER_ALGORITHMS = {"naive": jer_naive, "dp": log_jer, "cba": jer_cba}
+
+
+def _format_log_tail(log: float) -> str:
+    """exp(log) to twelve significant digits, as ``%.12g`` prints it, also
+    below the float floor."""
+    value = math.exp(log)
+    if value >= sys.float_info.min:
+        return f"{value:.12g}"
+    from decimal import Context, Decimal  # only tails below the floor need it
+
+    # Decimal's exponents reach far below a float's and its exp is
+    # correctly rounded, so the mantissa never reads 10.
+    digits = Context(prec=12)
+    return f"{Decimal(log).exp(digits).normalize(digits):g}"
 
 
 def _cmd_jer(args) -> None:
     jurors = read_jurors_csv(args.input)
     if len(jurors) % 2 == 0:  # also a header-only file
         raise EvenSize(f"jury size must be odd, got {len(jurors)}")
-    print(f"{_JER_ALGORITHMS[args.algorithm](Jury(tuple(jurors))):.12g}")
+    result = _JER_ALGORITHMS[args.algorithm](Jury(tuple(jurors)))
+    # The dp route returns the log, so it prints tails below the float floor.
+    print(_format_log_tail(result) if args.algorithm == "dp" else f"{result:.12g}")
 
 
 def _cmd_solve(args) -> None:

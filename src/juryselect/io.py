@@ -36,8 +36,12 @@ def read_jurors_csv(path: str | Path) -> list[Juror]:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            # line_num counts physical lines; a quoted field may span several.
-            rows = [(reader.line_num, row) for row in reader]
+            # line_num counts physical lines, up to a record's last; a quoted
+            # field may span several, so a record starts after the previous.
+            rows, start = [], 1
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

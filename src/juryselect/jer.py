@@ -6,10 +6,17 @@ threshold (n+1)/2.  Three routes to the same tail probability live here:
 
 * ``jer_naive``   -- exact subset enumeration, the oracle the fast paths
   are checked against (capped at n = 25);
-* ``jer_dp``      -- O(n^2) tail recurrence with two rolling rows;
+* ``log_jer`` and ``jer_dp`` -- O(n^2) recurrence on the log tail row;
 * ``wrong_count_distribution`` + ``jer_from_distribution`` -- O(n log n)
   divide and conquer that builds the full wrong-count mass by polynomial
   convolution (FFT above a size cutoff).
+
+The log tail row, ``row[l] = log P(W >= l)``, is the one tail kernel:
+``log_jer`` and both selection solvers advance it juror by juror
+(``_empty_row``, ``_advance``), each over a live band of entries.  Its
+updates add only positive terms, in logs, so it stays exact to relative
+float precision far below the float floor (1e-308), where very reliable
+juries' error rates live.
 
 ``jer_lower_bound`` gives a Paley-Zygmund style lower bound on the tail
 from the first two moments of the wrong count, in O(n).  No solver uses
@@ -223,27 +230,51 @@ def _subset_table(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, count
 
 
-def _tail_recurrence(eps: np.ndarray) -> float:
-    # All-positive updates, so tiny tails keep their relative accuracy.
-    threshold = (eps.size + 1) // 2
-    row = np.zeros(threshold + 1)
-    row[0] = 1.0
-    for e in eps:
-        row[1:] = row[1:] * (1.0 - e) + row[:-1] * e
-    return float(min(max(row[threshold], 0.0), 1.0))
+def _empty_row(length: int) -> np.ndarray:
+    """The log tail row of an empty jury: P(W >= 0) = 1, every other tail 0."""
+    row = np.full(length, -np.inf)
+    row[0] = 0.0
+    return row
+
+
+def _advance(row: np.ndarray, e: float, lo: int, hi: int, scratch: np.ndarray) -> None:
+    """Absorb one juror with error rate ``e`` into ``row[lo:hi]``, in place.
+
+    Entry l reads only entries l - 1 and l, so the rest of the row keeps
+    its old values; ``scratch`` is a (2, len(row)) buffer for the terms.
+    """
+    right, wrong = scratch[0, : hi - lo], scratch[1, : hi - lo]
+    np.add(row[lo:hi], math.log1p(-e), out=right)
+    np.add(row[lo - 1 : hi - 1], math.log(e), out=wrong)
+    np.logaddexp(right, wrong, out=row[lo:hi])
+
+
+def log_jer(jury: JuryLike) -> float:
+    """Natural log of the group error rate, exact to relative float
+    precision at any depth, far below the float floor.
+
+    Advances the log tail row up to t = (n + 1) // 2 one juror at a time
+    and reads row[t].  Juror k updates only entries max(1, k - t + 1)
+    through min(k, t): entries above k are log 0, and an entry below
+    k - t + 1 can no longer reach row[t] in the n - k jurors left.
+    O(n^2) time, O(n) space.
+    """
+    eps = _epsilons(jury)
+    row = _empty_row((eps.size + 1) // 2 + 1)
+    scratch = np.empty((2, row.size))
+    for k, e in enumerate(eps.tolist(), start=1):
+        _advance(row, e, max(1, k - row.size + 2), min(k + 1, row.size), scratch)
+    # Rounding can lift a tail near 1 a hair above log 1.
+    return min(float(row[-1]), 0.0)
 
 
 def jer_dp(jury: JuryLike) -> float:
-    """Group error rate via the tail recurrence, one juror at a time.
-
-    Maintains row[l] = Pr(wrong count >= l | jurors seen so far) for l up
-    to the majority threshold; absorbing juror m maps the row through
-
-        row'[l] = row[l-1] * eps_m + row[l] * (1 - eps_m)
-
-    with row[0] pinned at 1.  O(n^2) time, two rows of working space.
+    """Group error rate, ``exp(log_jer(jury))``: the solvers' tail kernel,
+    so it equals ``solve_altrm``'s ``jer`` for the jury it picks, bit for
+    bit.  Reads 0.0 once the error rate falls below the float floor
+    (about 1e-308); :func:`log_jer` carries it at any depth.
     """
-    return _tail_recurrence(_epsilons(jury))
+    return math.exp(log_jer(jury))
 
 
 def _convolve_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:

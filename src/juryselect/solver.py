@@ -13,13 +13,9 @@ Two cost models:
   per-half subset tables, joined one pair of subset sizes at a time.
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so each keeps
-one rolling log tail row, ``row[l] = log P(W >= l)`` for the wrong-vote
-count ``W``: O(1) to read, and exact to relative float precision far
-below the float floor, where very reliable juries' error rates live.
-Adding a juror advances only the row's live band: entries above the
-jury's size hold log 0 = -inf and stay so, and ``solve_altrm`` also
-leaves behind the low entries that no later read can reach, so its scan
-makes about half the entry updates a whole-row advance would.
+one rolling log tail row, the kernel in :mod:`juryselect.jer`, and reads
+each jury's error rate off it in O(1).  ``solve_altrm`` advances only
+the row's live band, about half the entry updates of a whole-row advance.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import Juror, Jury
+from .jer import Juror, Jury, _advance, _empty_row
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
 # and memory double with each candidate; the published effectiveness
@@ -52,25 +48,6 @@ _BOUND_SLACK = 1e-12
 # O(n**2) scan can handle, and far below any gap worth comparing.
 _STOP_RTOL = 1e-9
 _LOG_HALF = math.log(0.5)
-
-
-def _empty_row(length: int) -> np.ndarray:
-    """The log tail row of an empty jury: P(W >= 0) = 1, every other tail 0."""
-    row = np.full(length, -np.inf)
-    row[0] = 0.0
-    return row
-
-
-def _advance(row: np.ndarray, e: float, lo: int, hi: int, scratch: np.ndarray) -> None:
-    """Absorb one juror with error rate ``e`` into ``row[lo:hi]``, in place.
-
-    Entry l reads only entries l - 1 and l, so the rest of the row keeps
-    its old values; ``scratch`` is a (2, len(row)) buffer for the terms.
-    """
-    right, wrong = scratch[0, : hi - lo], scratch[1, : hi - lo]
-    np.add(row[lo:hi], math.log1p(-e), out=right)
-    np.add(row[lo - 1 : hi - 1], math.log(e), out=wrong)
-    np.logaddexp(right, wrong, out=row[lo:hi])
 
 
 @dataclass(frozen=True)

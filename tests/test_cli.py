@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juryselect.cli import main
+from juryselect import SynthConfig, gen_pool
+from juryselect.cli import _format_log_tail, main
+from juryselect.io import write_pool_csv
 
 
 def write_lines(path, *lines):
@@ -97,6 +99,30 @@ class TestCmdJer:
             printed = capsys.readouterr().out.strip()
             assert printed == "3.2169401504e-17" == f"{solved:.12g}"
             assert float(printed) == pytest.approx(float(exact), rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "config, size, log10_exact",
+        [
+            # Optimal prefixes of two pools, log10 of their error rates from
+            # a 30-digit mpmath recurrence: far below the float floor, and
+            # just below the smallest subnormal float.
+            (SynthConfig(1000, 0.1, 0.1, seed=1), 177, -477.926237835278),
+            (SynthConfig(3000, 0.2, 0.1, seed=11), 2515, -324.873478478239),
+        ],
+        ids=["177-jurors", "2515-jurors"],
+    )
+    def test_dp_prints_rates_below_the_float_floor(self, tmp_path, capsys, config, size, log10_exact):
+        order = sorted(gen_pool(config), key=lambda j: (j.epsilon, j.id))
+        path = tmp_path / "deep.csv"
+        write_pool_csv(path, order[:size])
+        assert main(["jer", str(path), "--algorithm", "dp"]) == 0
+        mantissa, exponent = capsys.readouterr().out.strip().split("e")
+        assert 1 <= float(mantissa) < 10
+        assert abs(math.log10(float(mantissa)) + int(exponent) - log10_exact) <= 1e-9 / math.log(10)
+
+    @pytest.mark.parametrize("nudge", [-1e-13, 0.0, 1e-13])
+    def test_deep_mantissa_rounds_to_one_not_ten(self, nudge):
+        assert _format_log_tail(-478 * math.log(10) + nudge) == "1e-478"
 
     def test_even_jury_exits_3(self, tmp_path, capsys):
         path = write_lines(

@@ -72,6 +72,12 @@ class TestPoolCsv:
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:4: could not convert"):
             read_jurors_csv(path)
 
+    def test_a_bad_record_is_named_by_its_first_line(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(b'id,epsilon,requirement\n"a\nb",zz,0\n')
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:2: could not convert"):
+            read_jurors_csv(path)
+
     def test_unicode_line_separator_kept_in_id(self, tmp_path):
         path = tmp_path / "pool.csv"
         path.write_text("id,epsilon,requirement\na\u2028b,0.1,0\n", encoding="utf-8")

@@ -25,6 +25,7 @@ from juryselect import (
     jer_from_distribution,
     jer_lower_bound,
     jer_naive,
+    log_jer,
     wrong_count_distribution,
 )
 from juryselect.jer import DIRECT_CONVOLUTION_MAX, _cba, _convolve_mass
@@ -116,6 +117,14 @@ class TestJerDp:
         rng = np.random.default_rng(5)
         jury = Jury.from_epsilons(rng.uniform(0.01, 0.99, 1001))
         assert 0.0 <= jer_dp(jury) <= 1.0
+
+    def test_near_certain_error_stays_a_probability(self):
+        # Rounding in the log row can lift a tail near 1 above log 1.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            jury = Jury.from_epsilons(rng.uniform(0.9, 1.0, int(rng.integers(0, 100)) * 2 + 1))
+            assert log_jer(jury) <= 0.0
+            assert jer_dp(jury) <= 1.0
 
 
 class TestConvolve:

@@ -21,6 +21,7 @@ from juryselect import (
     compare_results,
     gen_pool,
     jer_dp,
+    log_jer,
     solve_altrm,
     solve_oracle,
     solve_paym_greedy,
@@ -136,6 +137,20 @@ class TestSolveAltrm:
     def test_empty_pool_rejected(self):
         with pytest.raises(EmptyPool):
             solve_altrm([])
+
+    @pytest.mark.parametrize("use_pruning", [True, False])
+    def test_jer_dp_runs_the_scan_s_kernel(self, use_pruning):
+        # The criterion 11 pools, then draws up to 1,500 candidates: jer_dp
+        # and log_jer read the chosen jury's error rate bit for bit.
+        configs = [SynthConfig(1000, mean, 0.1, seed=11) for mean in (0.2, 0.5, 0.7)]
+        configs += [
+            SynthConfig(n, mean, 0.1, seed=seed)
+            for n, mean, seed in ((1500, 0.1, 2), (1201, 0.3, 3), (800, 0.4, 4), (301, 0.6, 5), (1000, 0.7, 6))
+        ]
+        for config in configs:
+            result = solve_altrm(gen_pool(config), use_pruning=use_pruning)
+            assert jer_dp(result.jury) == result.jer
+            assert log_jer(result.jury) / math.log(10) == result.log10_jer
 
     def test_prefix_jers_non_monotone_on_motivating_pool(self, fig1_pool):
         ordered = sorted(fig1_pool, key=lambda j: (j.epsilon, j.id))
@@ -320,6 +335,20 @@ class TestDeepTails:
         assert result.member_ids == {j.id for j in order[:177]}
         assert abs(result.log10_jer - log10_tails[177]) <= 1e-9
         assert result.total_cost == 0.0
+
+    def test_log_jer_below_the_float_floor(self, deep_pool_scan):
+        _, order, log10_tails = deep_pool_scan
+        jury = Jury(tuple(order[:177]))
+        assert abs(log_jer(jury) / math.log(10) - log10_tails[177]) <= 1e-9
+        assert jer_dp(jury) == 0.0
+
+    def test_log_jer_just_below_the_smallest_float(self):
+        # The optimum of this pool errs with probability 1.338e-325, below
+        # the smallest subnormal; log10 from a 30-digit mpmath recurrence.
+        order = sorted(gen_pool(SynthConfig(3000, 0.2, 0.1, seed=11)), key=lambda j: (j.epsilon, j.id))
+        jury = Jury(tuple(order[:2515]))
+        assert abs(log_jer(jury) / math.log(10) - -324.87347847824) <= 1e-9
+        assert jer_dp(jury) == 0.0
 
     def test_log10_jer_matches_jer_above_the_floor(self, fig1_pool):
         for result in (
