@@ -11,12 +11,13 @@ threshold (n+1)/2.  Three routes to the same tail probability live here:
   divide and conquer that builds the full wrong-count mass by polynomial
   convolution (FFT above a size cutoff).
 
-The log tail row, ``row[l] = log P(W >= l)``, is the one tail kernel:
-``log_jer`` and both selection solvers advance it juror by juror
-(``_empty_row``, ``_advance``), each over a live band of entries.  Its
-updates add only positive terms, in logs, so it stays exact to relative
-float precision far below the float floor (1e-308), where very reliable
-juries' error rates live.
+The log tail row of P(W >= l), l = -1, 0, 1, ..., is the one tail
+kernel: ``log_jer`` and both selection solvers advance it by the first
+juror, then two jurors per step (``_empty_row``, ``_advance``), each
+over a live band of entries.  A step scales each tail by the largest
+one it reads and adds only positive terms, with vectorised ``exp`` and
+``log``, so the row stays exact to relative float precision far below
+the float floor (1e-308), where very reliable juries' error rates live.
 
 ``jer_lower_bound`` gives a Paley-Zygmund style lower bound on the tail
 from the first two moments of the wrong count, in O(n).  No solver uses
@@ -231,39 +232,61 @@ def _subset_table(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _empty_row(length: int) -> np.ndarray:
-    """The log tail row of an empty jury: P(W >= 0) = 1, every other tail 0."""
+    """The log tail row of an empty jury: entry i holds log P(W >= i - 1),
+    so P(W >= -1) = P(W >= 0) = 1 and every other tail is 0."""
     row = np.full(length, -np.inf)
-    row[0] = 0.0
+    row[:2] = 0.0
     return row
 
 
-def _advance(row: np.ndarray, e: float, lo: int, hi: int, scratch: np.ndarray) -> None:
-    """Absorb one juror with error rate ``e`` into ``row[lo:hi]``, in place.
+def _advance(row: np.ndarray, a: float, b: float, lo: int, hi: int, scratch: np.ndarray) -> None:
+    """Absorb two jurors with error rates ``a`` and ``b`` into ``row[lo:hi]``,
+    in place; ``b = 0.0`` absorbs ``a`` alone.
 
-    Entry l reads only entries l - 1 and l, so the rest of the row keeps
-    its old values; ``scratch`` is a (2, len(row)) buffer for the terms.
+    Entry i holds T(i - 1) = log P(W >= i - 1).  With base = T(l - 2),
+    T(l) becomes base + log(p2 + p1 exp(T(l - 1) - base) + p0 exp(T(l) -
+    base)), where p2 = ab, p1 = a(1 - b) + (1 - a)b and p0 = (1 - a)(1 - b):
+    every term is positive and no exp exceeds 1.  Entries outside the band
+    keep their old values.  ``lo`` is at least 2, and the last tail
+    updated, T(hi - 2), must not pass the jury's new size: above it the
+    base is log 0 and the result NaN.  ``scratch`` is a (3, len(row))
+    buffer.
     """
-    right, wrong = scratch[0, : hi - lo], scratch[1, : hi - lo]
-    np.add(row[lo:hi], math.log1p(-e), out=right)
-    np.add(row[lo - 1 : hi - 1], math.log(e), out=wrong)
-    np.logaddexp(right, wrong, out=row[lo:hi])
+    base, mid, top = scratch[:, : hi - lo]
+    base[:] = row[lo - 2 : hi - 2]
+    np.subtract(row[lo - 1 : hi - 1], base, out=mid)
+    np.subtract(row[lo:hi], base, out=top)
+    np.exp(mid, out=mid)
+    np.exp(top, out=top)
+    mid *= a * (1.0 - b) + (1.0 - a) * b
+    mid += a * b
+    top *= (1.0 - a) * (1.0 - b)
+    mid += top
+    np.log(mid, out=mid)
+    np.add(base, mid, out=row[lo:hi])
+
+
+def _steps(eps: list[float]) -> Iterable[tuple[int, float, float]]:
+    """The (k, a, b) of each row advance over an odd jury: the first juror
+    alone, then the pairs (2, 3), (4, 5), ...; k counts the jurors in."""
+    return zip(range(1, len(eps) + 1, 2), eps[:1] + eps[1::2], [0.0] + eps[2::2])
 
 
 def log_jer(jury: JuryLike) -> float:
     """Natural log of the group error rate, exact to relative float
     precision at any depth, far below the float floor.
 
-    Advances the log tail row up to t = (n + 1) // 2 one juror at a time
-    and reads row[t].  Juror k updates only entries max(1, k - t + 1)
-    through min(k, t): entries above k are log 0, and an entry below
-    k - t + 1 can no longer reach row[t] in the n - k jurors left.
-    O(n^2) time, O(n) space.
+    Advances the log tail row up to t = (n + 1) // 2 by the first juror,
+    then two jurors at a time, and reads P(W >= t).  The step that brings
+    the count to k updates only tails max(1, k - t + 1) through min(k, t):
+    tails above k are log 0, and one below k - t + 1 can no longer reach
+    P(W >= t) in the n - k jurors left.  O(n^2) time, O(n) space.
     """
-    eps = _epsilons(jury)
-    row = _empty_row((eps.size + 1) // 2 + 1)
-    scratch = np.empty((2, row.size))
-    for k, e in enumerate(eps.tolist(), start=1):
-        _advance(row, e, max(1, k - row.size + 2), min(k + 1, row.size), scratch)
+    eps = _epsilons(jury).tolist()
+    row = _empty_row((len(eps) + 1) // 2 + 2)
+    scratch = np.empty((3, row.size))
+    for k, a, b in _steps(eps):
+        _advance(row, a, b, max(2, k - row.size + 4), min(k + 2, row.size), scratch)
     # Rounding can lift a tail near 1 a hair above log 1.
     return min(float(row[-1]), 0.0)
 

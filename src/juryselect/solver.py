@@ -13,9 +13,11 @@ Two cost models:
   per-half subset tables, joined one pair of subset sizes at a time.
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so each keeps
-one rolling log tail row, the kernel in :mod:`juryselect.jer`, and reads
-each jury's error rate off it in O(1).  ``solve_altrm`` advances only
-the row's live band, about half the entry updates of a whole-row advance.
+one rolling log tail row, the kernel in :mod:`juryselect.jer`, advances
+it by the first juror and then two jurors per step, as ``log_jer`` does,
+and reads each jury's error rate off it in O(1).  ``solve_altrm``
+advances only the row's live band, about half the entry updates of a
+whole-row advance.
 """
 
 from __future__ import annotations
@@ -27,16 +29,17 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import Juror, Jury, _advance, _empty_row
+from .jer import Juror, Jury, _advance, _empty_row, _steps
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
 # and memory double with each candidate; the published effectiveness
 # experiments stop at 22 candidates too.
 ORACLE_SIZE_MAX = 22
 
-# Relative width of the oracle's tie window: about 450 ulps, far above the
-# rounding noise between summation orders of one error rate and far below
-# any tolerance the error rates are compared at.
+# Relative width of the tie window: about 450 ulps, far above the rounding
+# noise between summation orders of one error rate and far below any
+# tolerance the error rates are compared at.  The free scan applies it to
+# log error rates, where a relative 1e-13 is an absolute one.
 _TIE_RTOL = 1e-13
 
 # Relative slack on the oracle's block lower bound: the bound's sum and the
@@ -138,12 +141,15 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     Candidates are sorted by ascending error rate (ties by id) and every
     odd prefix is a candidate jury; monotonicity of the majority tail in
     each member's error rate makes the best prefix globally optimal.
-    Prefixes nest, so one log tail row, advanced juror by juror, gives
-    every prefix's error rate.  Juror k advances only the live band of
-    that row: entries above k are zero tails, and an entry below
-    k - (n_max - 1) // 2 can no longer reach a read, since entry l after
-    juror k feeds only entries l and l + 1 after juror k + 1, and prefix
-    m <= n_max reads entry (m + 1) // 2.
+    Prefixes nest, so one log tail row, advanced by the first juror and
+    then by each next pair, gives every odd prefix's error rate.  The
+    step to prefix k advances only the live band of that row: tails
+    above k are zero, and a tail below k - (n_max - 1) // 2 can no longer
+    reach a read, since tail l after prefix k feeds only tails l through
+    l + 2 after prefix k + 2, and prefix m <= n_max reads tail (m + 1) // 2.
+    A prefix replaces the best so far only when its log error rate is
+    lower by more than 1e-13, the oracle's tie window, so float noise
+    cannot break an exact tie: the smallest of tied prefixes wins.
 
     With ``use_pruning`` the scan stops after prefix n once the best
     error rate so far is below 1/2 by more than float noise and n's mean
@@ -164,19 +170,17 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     order = sorted(_candidates(pool), key=lambda j: (j.epsilon, j.id))
     n_max = len(order) if len(order) % 2 == 1 else len(order) - 1
 
-    row = _empty_row((n_max + 1) // 2 + 1)
-    scratch = np.empty((2, row.size))
+    row = _empty_row((n_max + 1) // 2 + 2)
+    scratch = np.empty((3, row.size))
     reach = (n_max - 1) // 2
     best_n = 0
     best_log = math.inf
     mu = 0.0
-    for n, juror in enumerate(order[:n_max], start=1):
-        _advance(row, juror.epsilon, max(1, n - reach), min(n + 1, row.size), scratch)
-        mu += juror.epsilon
-        if n % 2 == 0:
-            continue
-        tail = float(row[(n + 1) // 2])
-        if tail < best_log:
+    for n, a, b in _steps([j.epsilon for j in order[:n_max]]):
+        _advance(row, a, b, max(2, n - reach + 1), min(n + 2, row.size), scratch)
+        mu = mu + a + b
+        tail = float(row[(n + 3) // 2])
+        if tail < best_log - _TIE_RTOL:
             best_log = tail
             best_n = n
         if (
@@ -203,9 +207,9 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     when it still fits the budget and does not worsen the jury error rate;
     a pair still buffered when the scan ends is discarded.
 
-    The accepted jury's log tail row prices each trial pair in O(1): with
-    t the current majority threshold, the enlarged jury errs when the
-    pair's wrong votes (0, 1 or 2) lift the count to t + 1.
+    A trial pair is priced on a copy of the accepted jury's log tail row,
+    advanced by the pair; the copy becomes the row when the pair is
+    admitted, so the result's ``jer`` is ``jer_dp`` of its jury bit for bit.
     """
     budget_amount = _amount(budget)
     order = sorted(
@@ -219,12 +223,12 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
 
     selected = [order[start]]
     spent = order[start].requirement
-    # Entries above the jury's size are zero tails, so each advance stops
-    # at the size it reaches.
-    row = _empty_row(len(order) // 2 + 2)
-    scratch = np.empty((2, row.size))
-    _advance(row, order[start].epsilon, 1, 2, scratch)
-    current = float(row[1])
+    # Each advance stops at the jury's new size: the tails above it are
+    # zero, and there the step's base is log 0.
+    row = _empty_row(len(order) // 2 + 3)
+    scratch = np.empty((3, row.size))
+    _advance(row, order[start].epsilon, 0.0, 2, 3, scratch)
+    current = float(row[2])
     evaluated = 1
     pending: Juror | None = None
     for candidate in order[start + 1 :]:
@@ -233,17 +237,15 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
                 pending = candidate
             continue
         if spent + pending.requirement + candidate.requirement <= budget_amount:
-            a, b = pending.epsilon, candidate.epsilon
-            t = (len(selected) + 1) // 2
-            pair = np.log([a * b, a * (1.0 - b) + (1.0 - a) * b, (1.0 - a) * (1.0 - b)])
-            trial = float(np.logaddexp.reduce(pair + row[t - 1 : t + 2]))
+            trial_row = row.copy()
+            size = len(selected) + 2
+            _advance(trial_row, pending.epsilon, candidate.epsilon, 2, min(size + 2, row.size), scratch)
+            trial = float(trial_row[(size + 3) // 2])
             evaluated += 1
             if trial <= current:
-                current = trial
+                current, row = trial, trial_row
                 spent += pending.requirement + candidate.requirement
-                for juror in (pending, candidate):
-                    selected.append(juror)
-                    _advance(row, juror.epsilon, 1, min(len(selected) + 1, row.size), scratch)
+                selected += (pending, candidate)
                 pending = None
 
     jury = Jury(tuple(selected))

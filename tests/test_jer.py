@@ -5,6 +5,8 @@ enumeration; jer_naive reproduces that enumeration in float arithmetic
 and serves as the oracle for the two fast algorithms.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from juryselect import (
     log_jer,
     wrong_count_distribution,
 )
-from juryselect.jer import DIRECT_CONVOLUTION_MAX, _cba, _convolve_mass
+from juryselect.jer import DIRECT_CONVOLUTION_MAX, _advance, _cba, _convolve_mass, _empty_row
 
 from conftest import random_jury_epsilons
 
@@ -125,6 +127,88 @@ class TestJerDp:
             jury = Jury.from_epsilons(rng.uniform(0.9, 1.0, int(rng.integers(0, 100)) * 2 + 1))
             assert log_jer(jury) <= 0.0
             assert jer_dp(jury) <= 1.0
+
+
+def one_juror_step(row, e):
+    """The earlier kernel, kept as an independent reference: absorb one
+    juror into every tail, P(W >= l) from P(W >= l) and P(W >= l - 1)."""
+    row[2:] = np.logaddexp(row[2:] + math.log1p(-e), row[1:-1] + math.log(e))
+
+
+def random_rate(rng):
+    """An error rate, often at a clamp."""
+    return float(rng.choice([1e-6, 1 - 1e-6, rng.uniform(1e-6, 1 - 1e-6)], p=[0.2, 0.2, 0.6]))
+
+
+def random_row(rng):
+    """A random jury's log tail row, built by the reference, and its size.
+    Rows longer than the size plus four keep -inf tops."""
+    size = int(rng.integers(0, 40))
+    row = _empty_row(int(rng.integers(4, 50)))
+    for _ in range(size):
+        one_juror_step(row, random_rate(rng))
+    return row, size
+
+
+def assert_rows_close(got, want):
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = ~np.isneginf(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * np.maximum(1.0, np.abs(want[finite])))
+
+
+class TestAdvance:
+    """The pair step against two one-juror steps of the earlier kernel."""
+
+    def test_pair_step_matches_two_one_juror_steps(self):
+        rng = np.random.default_rng(83)
+        for _ in range(500):
+            row, size = random_row(rng)
+            a, b = random_rate(rng), random_rate(rng)
+            want = row.copy()
+            one_juror_step(want, a)
+            one_juror_step(want, b)
+            _advance(row, a, b, 2, min(size + 4, row.size), np.empty((3, row.size)))
+            assert_rows_close(row, want)
+
+    def test_pair_with_zero_absorbs_one_juror(self):
+        rng = np.random.default_rng(89)
+        for a in [1e-6, 1 - 1e-6, 0.5] + [random_rate(rng) for _ in range(200)]:
+            row, want = _empty_row(4), _empty_row(4)
+            _advance(row, a, 0.0, 2, 3, np.empty((3, 4)))
+            one_juror_step(want, a)
+            assert np.array_equal(row, want)
+        for _ in range(300):
+            row, size = random_row(rng)
+            a = random_rate(rng)
+            want = row.copy()
+            one_juror_step(want, a)
+            _advance(row, a, 0.0, 2, min(size + 3, row.size), np.empty((3, row.size)))
+            assert_rows_close(row, want)
+
+    def test_band_leaves_the_rest_of_the_row(self):
+        rng = np.random.default_rng(97)
+        row, size = random_row(rng)
+        while size < 20 or row.size < size + 4:
+            row, size = random_row(rng)
+        before = row.copy()
+        _advance(row, 0.3, 0.4, 7, 12, np.empty((3, row.size)))
+        assert np.array_equal(row[:7], before[:7])
+        assert np.array_equal(row[12:], before[12:])
+        assert not np.array_equal(row[7:12], before[7:12])
+
+    def test_log_jer_matches_mpmath(self):
+        # The rate itself, to 1e-13 relative, from a 40-digit recurrence.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(101)
+        for _ in range(24):
+            jury = Jury.from_epsilons([random_rate(rng) for _ in range(int(rng.integers(0, 100)) * 2 + 1)])
+            t = (jury.size + 1) // 2
+            with mpmath.workdps(40):
+                row = [mpmath.mpf(1)] + [mpmath.mpf(0)] * t
+                for k, e in enumerate(jury.epsilons.tolist(), start=1):
+                    for level in range(min(k, t), 0, -1):
+                        row[level] = row[level] * (1 - e) + row[level - 1] * e
+                assert abs(log_jer(jury) - mpmath.log(row[t])) <= 1e-13
 
 
 class TestConvolve:

@@ -161,19 +161,25 @@ class TestSolveAltrm:
         assert jers[7] == pytest.approx(0.085248, abs=1e-9)
 
 
-def whole_row_advance(row, e, lo, hi, scratch):
-    """The earlier kernel: every entry but the first advanced, whatever the band."""
-    row[1:] = np.logaddexp(row[1:] + math.log1p(-e), row[:-1] + math.log(e))
+def whole_row_advance(row, a, b, lo, hi, scratch):
+    """The pair step on every entry up to the jury's size, whatever the band
+    it is given; the size is read off the row, whose tails are finite up to
+    it."""
+    hi = min(np.count_nonzero(row > -np.inf) + (2 if b else 1), row.size)
+    base = row[: hi - 2].copy()
+    mid = np.exp(row[1 : hi - 1] - base) * (a * (1.0 - b) + (1.0 - a) * b) + a * b
+    row[2:hi] = base + np.log(mid + np.exp(row[2:hi] - base) * ((1.0 - a) * (1.0 - b)))
 
 
 def counting_advance(monkeypatch):
-    """Route ``solver._advance`` through a counter; returns the call list."""
+    """Route ``solver._advance`` through a counter; returns the error rates
+    of the jurors it absorbed, one entry per juror."""
     calls = []
     kernel = solver._advance
 
-    def advance(*args):
-        calls.append(args[1])
-        kernel(*args)
+    def advance(row, a, b, *band):
+        calls.extend([a, b] if b else [a])
+        kernel(row, a, b, *band)
 
     monkeypatch.setattr(solver, "_advance", advance)
     return calls
@@ -184,12 +190,13 @@ def log_prefix_scan(pool):
     band, bound or stop.  Returns (best size, its log tail, prefix count)."""
     order = sorted(pool, key=lambda j: (j.epsilon, j.id))
     n_max = len(order) - (len(order) % 2 == 0)
-    row = solver._empty_row((n_max + 1) // 2 + 1)
+    eps = [j.epsilon for j in order[:n_max]]
+    row = solver._empty_row((n_max + 1) // 2 + 2)
     best = (math.inf, 0)
-    for n, juror in enumerate(order[:n_max], start=1):
-        whole_row_advance(row, juror.epsilon, 1, row.size, None)
-        if n % 2:
-            best = min(best, (float(row[(n + 1) // 2]), n))
+    for n in range(1, n_max + 1, 2):
+        a, b = (eps[0], 0.0) if n == 1 else eps[n - 2 : n]
+        whole_row_advance(row, a, b, None, None, None)
+        best = min(best, (float(row[(n + 3) // 2]), n))
     return best[1], best[0], (n_max + 1) // 2
 
 
@@ -381,6 +388,22 @@ class TestSolvePaymGreedy:
         pool = [Juror("a", 0.2, 0.1), Juror("b", 0.3, 0.1)]
         result = solve_paym_greedy(pool, 1.0)
         assert sorted(result.member_ids) == ["a"]
+
+    def test_jer_dp_reads_the_greedy_jer(self):
+        # Every trial is priced on the row the admitted jury keeps, so
+        # jer_dp and log_jer read the chosen jury's error rate bit for bit.
+        configs = [SynthConfig(22, 0.2, 0.1, requirement_mean=0.05, requirement_stddev=0.2, seed=s) for s in range(4)]
+        configs += [
+            SynthConfig(2000, 0.3, 0.07, requirement_mean=0.001, requirement_stddev=0.001, seed=5),
+            SynthConfig(1000, 0.1, 0.1, seed=1),
+            SynthConfig(600, 0.45, 0.2, requirement_mean=0.01, requirement_stddev=0.01, seed=7),
+        ]
+        for config in configs:
+            pool = gen_pool(config)
+            for budget in (0.05, 0.5, 2.0):
+                result = solve_paym_greedy(pool, budget)
+                assert jer_dp(result.jury) == result.jer
+                assert log_jer(result.jury) / math.log(10) == result.log10_jer
 
     def test_jer_neutral_enlargement_admitted(self):
         # The pair leaves the error rate unchanged; the non-strict rule admits it.
