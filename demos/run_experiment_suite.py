@@ -40,7 +40,7 @@ for mean in ("0.2", "0.5", "0.7"):
 
 spec = ExperimentSpec(
     "altrm-timing",
-    {"pool_sizes": [200, 400, 800], "epsilon_mean": 0.3, "epsilon_stddevs": [0.1]},
+    {"pool_sizes": [200, 400, 800], "epsilon_mean": 0.6, "epsilon_stddevs": [0.1]},
     seeds=(1,),
     out=str(out_dir / "altrm_timing.csv"),
 )

@@ -12,16 +12,16 @@ Two cost models:
   ground truth for pools of up to 22 candidates by meeting in the middle:
   per-half subset tables, joined one pair of subset sizes at a time.
 
-``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so each keeps
-one rolling log tail row, the kernel in :mod:`juryselect.jer`, advances
-it by the first juror and then two jurors per step, as ``log_jer`` does,
-and reads each jury's error rate off it in O(1).  ``solve_altrm``
-advances only the row's live band, about half the entry updates of a
-whole-row advance.
+``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so both run
+the rolling log tail row of :mod:`juryselect.jer` and read each jury's
+error rate off it in O(1): ``solve_altrm`` through the odd-prefix scan
+that ``log_jer`` also runs, ``solve_paym_greedy`` by advancing a copy of
+its row for each trial pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import Juror, Jury, _advance, _empty_row, _steps
+from .jer import Juror, Jury, _advance, _empty_row, _odd_prefix_tails
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
 # and memory double with each candidate; the published effectiveness
@@ -142,11 +142,8 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     odd prefix is a candidate jury; monotonicity of the majority tail in
     each member's error rate makes the best prefix globally optimal.
     Prefixes nest, so one log tail row, advanced by the first juror and
-    then by each next pair, gives every odd prefix's error rate.  The
-    step to prefix k advances only the live band of that row: tails
-    above k are zero, and a tail below k - (n_max - 1) // 2 can no longer
-    reach a read, since tail l after prefix k feeds only tails l through
-    l + 2 after prefix k + 2, and prefix m <= n_max reads tail (m + 1) // 2.
+    then by each next pair, gives every odd prefix's error rate
+    (``jer._odd_prefix_tails``, the scan ``log_jer`` runs too).
     A prefix replaces the best so far only when its log error rate is
     lower by more than 1e-13, the oracle's tie window, so float noise
     cannot break an exact tie: the smallest of tied prefixes wins.
@@ -170,16 +167,12 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     order = sorted(_candidates(pool), key=lambda j: (j.epsilon, j.id))
     n_max = len(order) if len(order) % 2 == 1 else len(order) - 1
 
-    row = _empty_row((n_max + 1) // 2 + 2)
-    scratch = np.empty((3, row.size))
-    reach = (n_max - 1) // 2
+    eps = [j.epsilon for j in order[:n_max]]
     best_n = 0
     best_log = math.inf
-    mu = 0.0
-    for n, a, b in _steps([j.epsilon for j in order[:n_max]]):
-        _advance(row, a, b, max(2, n - reach + 1), min(n + 2, row.size), scratch)
-        mu = mu + a + b
-        tail = float(row[(n + 3) // 2])
+    # Running sums of the sorted error rates, left to right: mu of each odd prefix.
+    mus = itertools.islice(itertools.accumulate(eps), 0, None, 2)
+    for (n, tail), mu in zip(_odd_prefix_tails(eps), mus):
         if tail < best_log - _TIE_RTOL:
             best_log = tail
             best_n = n
@@ -226,8 +219,7 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     # Each advance stops at the jury's new size: the tails above it are
     # zero, and there the step's base is log 0.
     row = _empty_row(len(order) // 2 + 3)
-    scratch = np.empty((3, row.size))
-    _advance(row, order[start].epsilon, 0.0, 2, 3, scratch)
+    _advance(row, order[start].epsilon, 0.0, 2, 3)
     current = float(row[2])
     evaluated = 1
     pending: Juror | None = None
@@ -239,7 +231,7 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         if spent + pending.requirement + candidate.requirement <= budget_amount:
             trial_row = row.copy()
             size = len(selected) + 2
-            _advance(trial_row, pending.epsilon, candidate.epsilon, 2, min(size + 2, row.size), scratch)
+            _advance(trial_row, pending.epsilon, candidate.epsilon, 2, min(size + 2, row.size))
             trial = float(trial_row[(size + 3) // 2])
             evaluated += 1
             if trial <= current:
@@ -325,32 +317,27 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     pmf_a, cols_a, cost_a, lowest_a = _half_table(order[:split])
     pmf_b, cols_b, cost_b, lowest_b = _half_table(order[split:])
 
-    def tails(pmf):
-        # P(W_B >= j) for j = 0..len(B) + 1, summed from the top.
-        out = np.zeros((len(pmf), n - split + 2))
-        out[:, : pmf.shape[1]] = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-        return out
-
-    tails_b = {}  # size b -> B's tail rows, summed when a block first needs them
+    # P(W_B >= j) for j = 0..len(B) + 1, summed from the top, one row per
+    # subset of B: entries above a subset's size are exact zeros, so each
+    # row is the sum from its size down.
+    tails_b = np.zeros((pmf_b.shape[1], pmf_b.shape[0] + 1))
+    tails_b[:, :-1] = np.cumsum(pmf_b[::-1], axis=0)[::-1].T
+    count = np.outer([c.size for c in cols_a], [c.size for c in cols_b])
+    size_a, size_b = np.indices(count.shape)
+    # column[a, b, w]: where P(W_B >= t - w) sits in a tail row, t the
+    # majority threshold of a + b jurors.  Tails past B's size are 0, so
+    # only w > t needs clipping, to P(W_B >= 0).
+    column = np.maximum((size_a + size_b + 1)[..., None] // 2 - np.arange(split + 1), 0)
 
     def block(a, b):
-        if b not in tails_b:
-            tails_b[b] = tails(pmf_b[: b + 1, cols_b[b]].T)
-        # Tails past B's size are 0, so only w > t needs clipping, to P(W_B >= 0).
-        column = np.maximum((a + b + 1) // 2 - np.arange(a + 1), 0)
-        jer = pmf_a[: a + 1, cols_a[a]].T @ tails_b[b][:, column].T
+        jer = pmf_a[: a + 1, cols_a[a]].T @ tails_b[cols_b[b][:, None], column[a, b, : a + 1]].T
         cost = cost_a[cols_a[a]][:, None] + cost_b[cols_b[b]][None, :]
         return jer, cost, cost <= budget_amount
 
     # Every (a, b) block at once: its bound, and whether even its cheapest
     # union overruns the budget.  Float addition is monotone, so that skip
     # is exact.
-    count = np.outer([c.size for c in cols_a], [c.size for c in cols_b])
-    size_a, size_b = np.indices(count.shape)
-    # column[a, b, w]: where P(W_B >= t - w) sits in a tail row, as in block().
-    column = np.maximum((size_a + size_b + 1)[..., None] // 2 - np.arange(split + 1), 0)
-    low_tails_b = tails(pmf_b[:, lowest_b].T)[size_b[..., None], column]
-    lower = (pmf_a[:, lowest_a].T[:, None, :] * low_tails_b).sum(axis=2)
+    lower = (pmf_a[:, lowest_a].T[:, None, :] * tails_b[lowest_b][size_b[..., None], column]).sum(axis=2)
     cheapest = np.add.outer([cost_a[c].min() for c in cols_a], [cost_b[c].min() for c in cols_b])
     odd = (size_a + size_b) % 2 == 1
     live = odd & (cheapest <= budget_amount)

@@ -167,14 +167,14 @@ class TestAdvance:
             want = row.copy()
             one_juror_step(want, a)
             one_juror_step(want, b)
-            _advance(row, a, b, 2, min(size + 4, row.size), np.empty((3, row.size)))
+            _advance(row, a, b, 2, min(size + 4, row.size))
             assert_rows_close(row, want)
 
     def test_pair_with_zero_absorbs_one_juror(self):
         rng = np.random.default_rng(89)
         for a in [1e-6, 1 - 1e-6, 0.5] + [random_rate(rng) for _ in range(200)]:
             row, want = _empty_row(4), _empty_row(4)
-            _advance(row, a, 0.0, 2, 3, np.empty((3, 4)))
+            _advance(row, a, 0.0, 2, 3)
             one_juror_step(want, a)
             assert np.array_equal(row, want)
         for _ in range(300):
@@ -182,7 +182,7 @@ class TestAdvance:
             a = random_rate(rng)
             want = row.copy()
             one_juror_step(want, a)
-            _advance(row, a, 0.0, 2, min(size + 3, row.size), np.empty((3, row.size)))
+            _advance(row, a, 0.0, 2, min(size + 3, row.size))
             assert_rows_close(row, want)
 
     def test_band_leaves_the_rest_of_the_row(self):
@@ -191,7 +191,7 @@ class TestAdvance:
         while size < 20 or row.size < size + 4:
             row, size = random_row(rng)
         before = row.copy()
-        _advance(row, 0.3, 0.4, 7, 12, np.empty((3, row.size)))
+        _advance(row, 0.3, 0.4, 7, 12)
         assert np.array_equal(row[:7], before[:7])
         assert np.array_equal(row[12:], before[12:])
         assert not np.array_equal(row[7:12], before[7:12])

@@ -26,7 +26,7 @@ from juryselect import (
     solve_oracle,
     solve_paym_greedy,
 )
-from juryselect import solver
+from juryselect import jer, solver
 from juryselect.jer import Jury
 from juryselect.solver import _half_table, _members
 
@@ -161,7 +161,7 @@ class TestSolveAltrm:
         assert jers[7] == pytest.approx(0.085248, abs=1e-9)
 
 
-def whole_row_advance(row, a, b, lo, hi, scratch):
+def whole_row_advance(row, a, b, lo, hi):
     """The pair step on every entry up to the jury's size, whatever the band
     it is given; the size is read off the row, whose tails are finite up to
     it."""
@@ -172,16 +172,16 @@ def whole_row_advance(row, a, b, lo, hi, scratch):
 
 
 def counting_advance(monkeypatch):
-    """Route ``solver._advance`` through a counter; returns the error rates
-    of the jurors it absorbed, one entry per juror."""
+    """Route ``jer._advance``, which the free scan runs, through a counter;
+    returns the error rates of the jurors it absorbed, one entry per juror."""
     calls = []
-    kernel = solver._advance
+    kernel = jer._advance
 
     def advance(row, a, b, *band):
         calls.extend([a, b] if b else [a])
         kernel(row, a, b, *band)
 
-    monkeypatch.setattr(solver, "_advance", advance)
+    monkeypatch.setattr(jer, "_advance", advance)
     return calls
 
 
@@ -195,7 +195,7 @@ def log_prefix_scan(pool):
     best = (math.inf, 0)
     for n in range(1, n_max + 1, 2):
         a, b = (eps[0], 0.0) if n == 1 else eps[n - 2 : n]
-        whole_row_advance(row, a, b, None, None, None)
+        whole_row_advance(row, a, b, None, None)
         best = min(best, (float(row[(n + 3) // 2]), n))
     return best[1], best[0], (n_max + 1) // 2
 
@@ -216,9 +216,12 @@ class TestLiveBand:
         ]
 
         def results():
-            return [(solve_altrm(pool, use_pruning=False), solve_paym_greedy(pool, 0.5)) for pool in pools]
+            picked = [(solve_altrm(pool, use_pruning=False), solve_paym_greedy(pool, 0.5)) for pool in pools]
+            return picked, [log_jer(result.jury) for pair in picked for result in pair]
 
         banded = results()
+        # The scan and log_jer look the kernel up in jer, the greedy in solver.
+        monkeypatch.setattr(jer, "_advance", whole_row_advance)
         monkeypatch.setattr(solver, "_advance", whole_row_advance)
         assert banded == results()
 
