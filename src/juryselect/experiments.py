@@ -205,6 +205,8 @@ def _run_altrm_timing(spec: ExperimentSpec):
             "seed": seed,
             "seconds": elapsed,
             "optimal_jury_size": result.jury.size,
+            "juries_evaluated": result.juries_evaluated,
+            "juries_pruned": result.juries_pruned,
         }
 
 

@@ -11,21 +11,24 @@ threshold (n+1)/2.  Three routes to the same tail probability live here:
   divide and conquer that builds the full wrong-count mass by polynomial
   convolution (FFT above a size cutoff).
 
-The log tail row of P(W >= l), l = -1, 0, 1, ..., is the one tail
-kernel (``_empty_row``, ``_advance``): it absorbs the first juror, then
-two jurors per step.  ``_odd_prefix_tails`` runs it over the odd
-prefixes of a list of error rates, advancing only the band of entries a
-later read can reach; ``log_jer`` takes its last tail, ``solve_altrm``
-reads every prefix, and ``solve_paym_greedy`` advances copies of the
-row pair by pair.  A step scales each tail by the largest
-one it reads and adds only positive terms, with vectorised ``exp`` and
-``log``, so the row stays exact to relative float precision far below
-the float floor (1e-308), where very reliable juries' error rates live.
+The log tail row of T(l) = log P(W >= l) is the one tail kernel
+(``_empty_row``, ``_advance``): it absorbs a group of jurors per step,
+given the group's wrong-count pmf.  ``_odd_prefix_tails`` runs it over
+the odd prefixes of a list of error rates, BLOCK = 16 jurors per step,
+and reads the eight prefixes inside each block off the block-start row
+with the pmfs of the block's first pairs, all built at once; it advances
+only the band of tails a later read can reach.  ``log_jer`` takes its
+last tail, ``solve_altrm`` reads every prefix, and ``solve_paym_greedy``
+keeps a block-start row and prices each trial pair by the same read in
+O(1).  A step or a read scales each tail by the largest one it sums and
+adds only positive terms, with vectorised ``exp`` and ``log``, so the
+row stays exact to relative float precision far below the float floor
+(1e-308), where very reliable juries' error rates live.
 
 ``jer_lower_bound`` gives a Paley-Zygmund style lower bound on the tail
 from the first two moments of the wrong count, in O(n).  No solver uses
-it: the free scan reads each prefix's tail in O(1) from its rolling row,
-so skipping that read saves nothing.
+it: the free scan reads each prefix's tail off its block-start row in a
+batch of eight, so skipping a read saves nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ DIRECT_CONVOLUTION_MAX = 64
 # second; each further juror doubles that, so past the cap the
 # enumeration stops being a usable oracle.
 NAIVE_SIZE_MAX = 25
+
+# Jurors absorbed per tail row update in the odd-prefix scan, whose reads
+# cover the BLOCK // 2 prefixes in between.  A group step's least weight,
+# EPSILON_FLOOR ** BLOCK = 1e-96, must stay far above the float floor,
+# and a read's zero-weighted terms, exp of at most about 22 per index,
+# far below exp's overflow; within that the value only affects speed.
+BLOCK = 16
+_PAIRS = BLOCK // 2
 
 _NEGATIVE_MASS_TOL = 1e-9
 _MASS_SUM_TOL = 1e-6
@@ -234,52 +245,147 @@ def _subset_table(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, count
 
 
-def _empty_row(length: int) -> np.ndarray:
-    """The log tail row of an empty jury: entry i holds log P(W >= i - 1),
-    so P(W >= -1) = P(W >= 0) = 1 and every other tail is 0."""
-    row = np.full(length, -np.inf)
-    row[:2] = 0.0
+def _empty_row(top: int) -> np.ndarray:
+    """The log tail row of an empty jury: entry i holds T(i - BLOCK) =
+    log P(W >= i - BLOCK) for tails -BLOCK through ``top``, so every tail
+    up to T(0) is 0 and every later one is log 0."""
+    row = np.full(BLOCK + top + 1, -np.inf)
+    row[: BLOCK + 1] = 0.0
     return row
 
 
-def _advance(row: np.ndarray, a: float, b: float, lo: int, hi: int) -> None:
-    """Absorb two jurors with error rates ``a`` and ``b`` into ``row[lo:hi]``,
-    in place; ``b = 0.0`` absorbs ``a`` alone.
+def _advance(row: np.ndarray, q: np.ndarray, lo: int, hi: int) -> None:
+    """Absorb a group of m = ``q.size - 1`` jurors, whose wrong count has
+    pmf ``q``, into tails T(lo) through T(hi - 1) of ``row``, in place.
 
-    Entry i holds T(i - 1) = log P(W >= i - 1).  With base = T(l - 2),
-    T(l) becomes base + log(p2 + p1 exp(T(l - 1) - base) + p0 exp(T(l) -
-    base)), where p2 = ab, p1 = a(1 - b) + (1 - a)b and p0 = (1 - a)(1 - b):
-    every term is positive and no exp exceeds 1.  Entries outside the band
-    keep their old values.  ``lo`` is at least 2, and the last tail
-    updated, T(hi - 2), must not pass the jury's new size: above it the
-    base is log 0 and the result NaN.
+    T(l) becomes T(l - m) + log sum_s q[s] exp(T(l - s) - T(l - m)).
+    Tails fall with l, so no exp exceeds 1, and the s = m term is q[m],
+    the product of the group's error rates, at least 1e-6 ** BLOCK: no
+    term that matters underflows.  One (m + 1, band) view of the row,
+    whose row s holds T(l - s) for the band's l, feeds one subtract, exp,
+    weighted sum over s, log and add.  Entries outside the band keep
+    their old values.  ``lo`` is at least 1 and m at most BLOCK; the last
+    tail updated must not pass the jury's new size, where the base is
+    log 0 and the result NaN.
     """
-    base = row[lo - 2 : hi - 2].copy()
-    mid = np.exp(row[lo - 1 : hi - 1] - base)
-    top = np.exp(row[lo:hi] - base)
-    mid *= a * (1.0 - b) + (1.0 - a) * b
-    mid += a * b
-    top *= (1.0 - a) * (1.0 - b)
-    mid += top
-    np.log(mid, out=mid)
-    np.add(base, mid, out=row[lo:hi])
+    m, band = q.size - 1, hi - lo
+    view = np.ndarray((m + 1, band), buffer=row, offset=(lo + BLOCK) * 8, strides=(-8, 8))
+    # einsum sums each tail's terms in order of s whatever the band, as
+    # long as the s axis is strided: the spare column keeps it so at a
+    # band of one.  A BLAS matvec rounds a tail by its place in the band.
+    terms = np.empty((m + 1, band + 1))[:, :band]
+    np.subtract(view, view[m], out=terms)
+    np.exp(terms, out=terms)
+    total = np.einsum("sl,s->l", terms, q)
+    np.log(total, out=total)
+    np.add(view[m], total, out=row[lo + BLOCK : hi + BLOCK])
+
+
+def _pair_weights(a, b, ca, cb):
+    """P(0), P(1) and P(2 wrong) of two jurors with error rates ``a`` and
+    ``b``, given ``ca`` = 1 - a and ``cb`` = 1 - b: floats or arrays."""
+    return ca * cb, a * cb + ca * b, a * b
+
+
+def _pmf_table(steps: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows j = 0 .. steps of wrong-count pmfs of j pairs, one per block,
+    each with two leading zeros, so entry [j, b, 2 + i] holds Q_j[i]; row 0
+    holds the empty group.  Also returns the table's shifted view, whose
+    entry [j, b, i, s] is Q_j[i - s] for i = 0 .. BLOCK and s = 0 .. 2."""
+    pmfs = np.zeros((steps + 1, blocks, BLOCK + 3))
+    pmfs[0, :, 2] = 1.0
+    shifted = np.ndarray(
+        (steps + 1, blocks, BLOCK + 1, 3), buffer=pmfs, offset=16, strides=pmfs.strides + (-8,)
+    )
+    return pmfs, shifted
+
+
+def _absorb_pair(pmfs: np.ndarray, shifted: np.ndarray, j: int, weights: np.ndarray) -> None:
+    """Row j + 1 of a :func:`_pmf_table` becomes row j with one more pair
+    absorbed, whose :func:`_pair_weights` are ``weights``, shape
+    (blocks, 3, 1): Q_{j+1}[i] = sum_s Q_j[i - s] weights[s], one matmul."""
+    np.matmul(shifted[j], weights, out=pmfs[j + 1, :, 2:, None])
+
+
+def _read_terms(row: np.ndarray, t: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (h, BLOCK + 1) exp table and the bases of the reads j = 1 .. h
+    off a row of threshold ``t``: read j gives T'(t + j) after j more
+    pairs, T(t - j) + log sum_i Q_j[i] exp(T(t + j - i) - T(t - j)).
+    (Read 0 is T(t) itself.)
+
+    Entry [j - 1, i] is exp(T(t + j - i) - T(t - j)).  Q_j, the pmf of j
+    pairs zero-padded to BLOCK + 1 entries, weighs only i <= 2j, where
+    the tails fall and no exp exceeds 1.  The zero-weighted entries past
+    that stay finite, so they add exact zeros: one juror's error rate is
+    at least 1e-6, so a tail is at least 1e-6 / n times the one below it,
+    and tails of fewer jurors, stale below the scan's band, are smaller
+    still; BLOCK such steps stay far from exp's overflow at any pool size
+    the scan can handle.
+    """
+    view = np.ndarray((h, BLOCK + 1), buffer=row, offset=(t + 1 + BLOCK) * 8, strides=(8, -8))
+    base = row[t - h + BLOCK : t + BLOCK][::-1]
+    terms = np.subtract(view, base[:, None])
+    np.exp(terms, out=terms)
+    return terms, base
+
+
+def _read(terms: np.ndarray, base: np.ndarray, pmfs: np.ndarray) -> np.ndarray:
+    """The log tails of rows of :func:`_read_terms` weighed by ``pmfs``."""
+    total = (terms * pmfs).sum(axis=-1)
+    np.log(total, out=total)
+    return np.add(total, base, out=total)
+
+
+def _block_pmfs(eps: list[float]) -> np.ndarray:
+    """The :func:`_pmf_table` of the scan over ``eps``: entry [j, b] holds
+    the pmf of the first j pairs of block b, for every block at once.
+
+    Block b holds jurors 1 + BLOCK b through BLOCK (b + 1); missing pairs
+    are padded with error rate 0, which absorbs as the identity.  Pair
+    positions past the list's own are not built.
+    """
+    blocks = (len(eps) - 1) // BLOCK + 1
+    steps = min(_PAIRS, (len(eps) - 1) // 2)
+    pmfs, shifted = _pmf_table(steps, blocks)
+    if steps:
+        rates = np.zeros(blocks * BLOCK)
+        rates[: len(eps) - 1] = eps[1:]
+        # a and b of pair position j in block b at [j, b, 0, 0].
+        pairs = rates.reshape(blocks, _PAIRS, 2)[:, :steps].T[..., None, None]
+        weights = np.concatenate(_pair_weights(*pairs, *(1.0 - pairs)), axis=-2)
+        for j in range(steps):
+            _absorb_pair(pmfs, shifted, j, weights[j])
+    return pmfs
 
 
 def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
     """(k, log P(W_k >= (k + 1) / 2)) for each odd prefix k of ``eps``, an
     odd number of error rates, in order of k.
 
-    One log tail row absorbs the first juror, then the pairs (2, 3),
-    (4, 5), ....  The step to prefix k advances only the row's live band,
-    tails max(1, k - t + 1) through min(k, t), with t = (len(eps) + 1) // 2
-    the last prefix's threshold: tails above k are log 0, and one below
-    k - t + 1 can no longer reach a read, since tail l after prefix k
-    feeds only tails l through l + 2 after prefix k + 2.
+    One log tail row holds the first juror, then absorbs BLOCK jurors per
+    :func:`_advance`.  The odd prefixes of a block, k + 2j for j = 0 ..
+    BLOCK / 2 - 1 from the block-start prefix k of threshold t, are read
+    off the row of k: T(t) for j = 0, else with the pmf of the block's
+    first j pairs (:func:`_read_terms`), all pmfs built at once
+    (:func:`_block_pmfs`).  The advance to prefix k' = k + BLOCK updates
+    only the live band, tails max(1, k' - last + 1) through min(k', last),
+    with last = (len(eps) + 1) // 2 the last prefix's threshold: tails
+    above the size are log 0, and the reads and advances of later blocks
+    reach no tail below the band.  The last block needs no advance.
     """
-    row = _empty_row((len(eps) + 1) // 2 + 2)
-    for k, a, b in zip(range(1, len(eps) + 1, 2), eps[:1] + eps[1::2], [0.0] + eps[2::2]):
-        _advance(row, a, b, max(2, k - row.size + 4), min(k + 2, row.size))
-        yield k, float(row[(k + 3) // 2])
+    n = len(eps)
+    last = (n + 1) // 2
+    row = _empty_row(last)
+    row[BLOCK + 1] = math.log(eps[0])
+    pmfs = _block_pmfs(eps)
+    for b, k in enumerate(range(1, n + 1, BLOCK)):
+        t = (k + 1) // 2
+        yield k, float(row[BLOCK + t])
+        if reads := min(_PAIRS - 1, (n - k) // 2):
+            tails = _read(*_read_terms(row, t, reads), pmfs[1 : reads + 1, b, 2:])
+            yield from zip(range(k + 2, n + 1, 2), tails.tolist())
+        if k + BLOCK <= n:
+            _advance(row, pmfs[_PAIRS, b, 2:], max(1, k + BLOCK - last + 1), min(k + BLOCK, last) + 1)
 
 
 def log_jer(jury: JuryLike) -> float:

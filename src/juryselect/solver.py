@@ -13,10 +13,10 @@ Two cost models:
   per-half subset tables, joined one pair of subset sizes at a time.
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so both run
-the rolling log tail row of :mod:`juryselect.jer` and read each jury's
-error rate off it in O(1): ``solve_altrm`` through the odd-prefix scan
-that ``log_jer`` also runs, ``solve_paym_greedy`` by advancing a copy of
-its row for each trial pair.
+the log tail row of :mod:`juryselect.jer`, advanced BLOCK jurors at a
+time, and read the juries in between off its block-start row:
+``solve_altrm`` through the odd-prefix scan that ``log_jer`` also runs,
+``solve_paym_greedy`` by the same read, priced in O(1) per trial pair.
 """
 
 from __future__ import annotations
@@ -29,7 +29,20 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import Juror, Jury, _advance, _empty_row, _odd_prefix_tails
+from .jer import (
+    BLOCK,
+    _PAIRS,
+    Juror,
+    Jury,
+    _absorb_pair,
+    _advance,
+    _empty_row,
+    _odd_prefix_tails,
+    _pair_weights,
+    _pmf_table,
+    _read,
+    _read_terms,
+)
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
 # and memory double with each candidate; the published effectiveness
@@ -141,9 +154,11 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     Candidates are sorted by ascending error rate (ties by id) and every
     odd prefix is a candidate jury; monotonicity of the majority tail in
     each member's error rate makes the best prefix globally optimal.
-    Prefixes nest, so one log tail row, advanced by the first juror and
-    then by each next pair, gives every odd prefix's error rate
-    (``jer._odd_prefix_tails``, the scan ``log_jer`` runs too).
+    Prefixes nest, so one log tail row, advanced BLOCK jurors at a time,
+    gives every odd prefix's error rate, the prefixes inside a block read
+    off its block-start row (``jer._odd_prefix_tails``, the scan
+    ``log_jer`` runs too).  A stop in mid-block wastes at most the reads
+    of that block.
     A prefix replaces the best so far only when its log error rate is
     lower by more than 1e-13, the oracle's tie window, so float noise
     cannot break an exact tie: the smallest of tied prefixes wins.
@@ -200,9 +215,14 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     when it still fits the budget and does not worsen the jury error rate;
     a pair still buffered when the scan ends is discarded.
 
-    A trial pair is priced on a copy of the accepted jury's log tail row,
-    advanced by the pair; the copy becomes the row when the pair is
-    admitted, so the result's ``jer`` is ``jer_dp`` of its jury bit for bit.
+    The jury's log tail row stays at its last BLOCK-juror boundary, as in
+    the odd-prefix scan (``jer._odd_prefix_tails``), and a trial pair is
+    priced by the scan's read of the jury it would make, in O(1) float
+    arithmetic: three dot products of the read's exp row with the pmf of
+    the pairs admitted since the boundary are taken once per admission.
+    An admitted pair joins that pmf, and every BLOCK / 2 pairs the row
+    advances by it.  The result's ``jer`` is the scan's read of the
+    final jury, so ``jer_dp`` of its jury gives it bit for bit.
     """
     budget_amount = _amount(budget)
     order = sorted(
@@ -216,11 +236,25 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
 
     selected = [order[start]]
     spent = order[start].requirement
-    # Each advance stops at the jury's new size: the tails above it are
-    # zero, and there the step's base is log 0.
-    row = _empty_row(len(order) // 2 + 3)
-    _advance(row, order[start].epsilon, 0.0, 2, 3)
-    current = float(row[2])
+    # The row holds every tail a read off it reaches, up to T(t + _PAIRS)
+    # for t the boundary jury's threshold.  pmfs row j holds the first j
+    # pairs admitted since the boundary; a row is rewritten whole when its
+    # pair is admitted, so the table serves every block.
+    top = len(order) // 2 + _PAIRS + 1
+    row = _empty_row(top)
+    row[BLOCK + 1] = current = math.log(order[start].epsilon)
+    pmfs, shifted = _pmf_table(_PAIRS, 1)
+    t = 1
+    terms, base = _read_terms(row, t, _PAIRS)
+    admitted = 0
+
+    def price():
+        # Read admitted + 1 weighs terms[admitted] by the pmf with the
+        # trial pair absorbed: base + log(p0 x0 + p1 x1 + p2 x2), x_s the
+        # dot of that row with the pmf shifted by s, so a trial costs O(1).
+        return float(base[admitted]), (terms[admitted] @ shifted[admitted, 0]).tolist()
+
+    low, (x0, x1, x2) = price()
     evaluated = 1
     pending: Juror | None = None
     for candidate in order[start + 1 :]:
@@ -229,17 +263,31 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
                 pending = candidate
             continue
         if spent + pending.requirement + candidate.requirement <= budget_amount:
-            trial_row = row.copy()
-            size = len(selected) + 2
-            _advance(trial_row, pending.epsilon, candidate.epsilon, 2, min(size + 2, row.size))
-            trial = float(trial_row[(size + 3) // 2])
+            a, b = pending.epsilon, candidate.epsilon
+            weights = _pair_weights(a, b, 1.0 - a, 1.0 - b)
+            p0, p1, p2 = weights
+            trial = low + math.log(p0 * x0 + p1 * x1 + p2 * x2)
             evaluated += 1
             if trial <= current:
-                current, row = trial, trial_row
+                current = trial
                 spent += pending.requirement + candidate.requirement
                 selected += (pending, candidate)
                 pending = None
+                _absorb_pair(pmfs, shifted, admitted, np.array(weights).reshape(1, 3, 1))
+                admitted += 1
+                if admitted == _PAIRS:
+                    _advance(row, pmfs[_PAIRS, 0, 2:], 1, min(len(selected), top) + 1)
+                    t = (len(selected) + 1) // 2
+                    terms, base = _read_terms(row, t, _PAIRS)
+                    admitted = 0
+                low, (x0, x1, x2) = price()
 
+    # The scan's read of this jury, so jer_dp gives the result's jer bit
+    # for bit.
+    current = float(row[BLOCK + t])
+    if admitted:
+        read = slice(admitted - 1, admitted)
+        current = float(_read(terms[read], base[read], pmfs[admitted, :, 2:])[0])
     jury = Jury(tuple(selected))
     return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 

@@ -186,6 +186,25 @@ class TestAltrmTiming:
         assert len(rows) == 4  # 2 sizes x pruning on/off
         assert all(float(r["seconds"]) > 0 for r in rows)
         assert {r["pruning"] for r in rows} == {"0", "1"}
+        # Every odd prefix is either read or skipped by the stop, which
+        # only runs with pruning.
+        for r in rows:
+            prefixes = (int(r["pool_size"]) + 1) // 2
+            assert int(r["juries_evaluated"]) + int(r["juries_pruned"]) == prefixes
+            if r["pruning"] == "0":
+                assert int(r["juries_pruned"]) == 0
+
+    def test_counters_show_the_stop(self, tmp_path):
+        # Error rates around 0.6: the stop fires on every pool with pruning.
+        spec = ExperimentSpec(
+            "altrm-timing",
+            {"pool_sizes": [201, 401], "epsilon_mean": 0.6, "epsilon_stddevs": [0.1]},
+            seeds=(1,),
+            out=str(tmp_path / "timing.csv"),
+        )
+        for r in read_rows(run_experiment(spec)):
+            pruned = int(r["juries_pruned"])
+            assert pruned > 0 if r["pruning"] == "1" else pruned == 0
 
     def test_runtime_grows_with_pool_size(self, tmp_path):
         # Sizes far enough apart that the ordering survives timer noise.

@@ -30,7 +30,7 @@ from juryselect import (
     log_jer,
     wrong_count_distribution,
 )
-from juryselect.jer import DIRECT_CONVOLUTION_MAX, _advance, _cba, _convolve_mass, _empty_row
+from juryselect.jer import BLOCK, DIRECT_CONVOLUTION_MAX, _advance, _cba, _convolve_mass, _empty_row, _odd_prefix_tails
 
 from conftest import random_jury_epsilons
 
@@ -131,8 +131,8 @@ class TestJerDp:
 
 def one_juror_step(row, e):
     """The earlier kernel, kept as an independent reference: absorb one
-    juror into every tail, P(W >= l) from P(W >= l) and P(W >= l - 1)."""
-    row[2:] = np.logaddexp(row[2:] + math.log1p(-e), row[1:-1] + math.log(e))
+    juror into every tail T(l), l >= 1, from T(l) and T(l - 1)."""
+    row[BLOCK + 1 :] = np.logaddexp(row[BLOCK + 1 :] + math.log1p(-e), row[BLOCK:-1] + math.log(e))
 
 
 def random_rate(rng):
@@ -141,13 +141,22 @@ def random_rate(rng):
 
 
 def random_row(rng):
-    """A random jury's log tail row, built by the reference, and its size.
-    Rows longer than the size plus four keep -inf tops."""
+    """A random jury's log tail row, built by the reference, and its size
+    and top tail.  Rows whose top passes the size keep -inf tops."""
     size = int(rng.integers(0, 40))
-    row = _empty_row(int(rng.integers(4, 50)))
+    top = int(rng.integers(2, 48))
+    row = _empty_row(top)
     for _ in range(size):
         one_juror_step(row, random_rate(rng))
-    return row, size
+    return row, size, top
+
+
+def group_pmf(rates):
+    """Wrong-count pmf of a group, one juror at a time."""
+    pmf = np.ones(1)
+    for e in rates:
+        pmf = np.convolve(pmf, [1.0 - e, e])
+    return pmf
 
 
 def assert_rows_close(got, want):
@@ -156,45 +165,48 @@ def assert_rows_close(got, want):
     assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * np.maximum(1.0, np.abs(want[finite])))
 
 
+def assert_group_step_matches_one_juror_steps(rng, m, trials):
+    for _ in range(trials):
+        row, size, top = random_row(rng)
+        rates = [random_rate(rng) for _ in range(m)]
+        want = row.copy()
+        for e in rates:
+            one_juror_step(want, e)
+        _advance(row, group_pmf(rates), 1, min(size + m, top) + 1)
+        assert_rows_close(row, want)
+
+
 class TestAdvance:
-    """The pair step against two one-juror steps of the earlier kernel."""
+    """The group step against one-juror steps of the earlier kernel."""
 
     def test_pair_step_matches_two_one_juror_steps(self):
-        rng = np.random.default_rng(83)
-        for _ in range(500):
-            row, size = random_row(rng)
-            a, b = random_rate(rng), random_rate(rng)
-            want = row.copy()
-            one_juror_step(want, a)
-            one_juror_step(want, b)
-            _advance(row, a, b, 2, min(size + 4, row.size))
-            assert_rows_close(row, want)
+        assert_group_step_matches_one_juror_steps(np.random.default_rng(83), 2, 500)
+
+    @pytest.mark.parametrize("m", [1, BLOCK])
+    def test_group_step_matches_one_juror_steps(self, m):
+        assert_group_step_matches_one_juror_steps(np.random.default_rng(79 + m), m, 300)
 
     def test_pair_with_zero_absorbs_one_juror(self):
+        # A pair whose second rate is 0 weighs its top term by 0.
         rng = np.random.default_rng(89)
-        for a in [1e-6, 1 - 1e-6, 0.5] + [random_rate(rng) for _ in range(200)]:
-            row, want = _empty_row(4), _empty_row(4)
-            _advance(row, a, 0.0, 2, 3)
-            one_juror_step(want, a)
-            assert np.array_equal(row, want)
         for _ in range(300):
-            row, size = random_row(rng)
+            row, size, top = random_row(rng)
             a = random_rate(rng)
             want = row.copy()
             one_juror_step(want, a)
-            _advance(row, a, 0.0, 2, min(size + 3, row.size))
+            _advance(row, np.array([1.0 - a, a, 0.0]), 1, min(size + 1, top) + 1)
             assert_rows_close(row, want)
 
     def test_band_leaves_the_rest_of_the_row(self):
         rng = np.random.default_rng(97)
-        row, size = random_row(rng)
-        while size < 20 or row.size < size + 4:
-            row, size = random_row(rng)
+        row, size, top = random_row(rng)
+        while size < 20 or top < size + 2:
+            row, size, top = random_row(rng)
         before = row.copy()
-        _advance(row, 0.3, 0.4, 7, 12)
-        assert np.array_equal(row[:7], before[:7])
-        assert np.array_equal(row[12:], before[12:])
-        assert not np.array_equal(row[7:12], before[7:12])
+        _advance(row, group_pmf([0.3, 0.4]), 6, 11)
+        assert np.array_equal(row[: BLOCK + 6], before[: BLOCK + 6])
+        assert np.array_equal(row[BLOCK + 11 :], before[BLOCK + 11 :])
+        assert not np.array_equal(row[BLOCK + 6 : BLOCK + 11], before[BLOCK + 6 : BLOCK + 11])
 
     def test_log_jer_matches_mpmath(self):
         # The rate itself, to 1e-13 relative, from a 40-digit recurrence.
@@ -209,6 +221,48 @@ class TestAdvance:
                     for level in range(min(k, t), 0, -1):
                         row[level] = row[level] * (1 - e) + row[level - 1] * e
                 assert abs(log_jer(jury) - mpmath.log(row[t])) <= 1e-13
+
+
+def mpmath_log_tails(eps, digits=60):
+    """log P(W_k >= (k + 1) / 2) of every odd prefix k, from the
+    all-positive one-juror recurrence in ``digits``-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    tails = {}
+    with mpmath.workdps(digits):
+        row = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(eps)
+        for k, e in enumerate(eps, start=1):
+            for level in range(k, 0, -1):
+                row[level] = row[level] * (1 - e) + row[level - 1] * e
+            if k % 2:
+                tails[k] = float(mpmath.log(row[(k + 1) // 2]))
+    return tails
+
+
+class TestOddPrefixTails:
+    """The block scan: reads inside a block, advances at its boundaries."""
+
+    @pytest.mark.parametrize("n", [1, 3, 15, 17, 19, 31, 33, 35, 49, 301])
+    def test_every_prefix_reads_log_jer_bit_for_bit(self, n):
+        # Each prefix's tail, read off the row of its block, is the one
+        # log_jer gets from the scan of that prefix alone.
+        rng = np.random.default_rng(n)
+        eps = [random_rate(rng) if rng.random() < 0.3 else float(rng.uniform(0.01, 0.6)) for _ in range(n)]
+        tails = list(_odd_prefix_tails(eps))
+        assert [k for k, _ in tails] == list(range(1, n + 1, 2))
+        for k, tail in tails:
+            assert log_jer(Jury.from_epsilons(eps[:k])) == min(tail, 0.0)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [[1e-6] * 301, [1 - 1e-6] * 301, [1e-6] * 150 + [1 - 1e-6] * 151, [1e-6, 1 - 1e-6] * 150 + [1e-6]],
+        ids=["all-low", "all-high", "low-then-high", "alternating"],
+    )
+    def test_clamped_pools_match_mpmath(self, eps):
+        # Group weights as small as 1e-96 and tails far below the float
+        # floor: every prefix within 1e-13, relative past 1 in magnitude.
+        want = mpmath_log_tails(eps)
+        for k, tail in _odd_prefix_tails(eps):
+            assert abs(tail - want[k]) <= 1e-13 * max(1.0, abs(want[k]))
 
 
 class TestConvolve:

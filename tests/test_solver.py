@@ -28,6 +28,7 @@ from juryselect import (
 )
 from juryselect import jer, solver
 from juryselect.jer import Jury
+from juryselect.jer import _advance as group_advance
 from juryselect.solver import _half_table, _members
 
 
@@ -161,43 +162,39 @@ class TestSolveAltrm:
         assert jers[7] == pytest.approx(0.085248, abs=1e-9)
 
 
-def whole_row_advance(row, a, b, lo, hi):
-    """The pair step on every entry up to the jury's size, whatever the band
-    it is given; the size is read off the row, whose tails are finite up to
-    it."""
-    hi = min(np.count_nonzero(row > -np.inf) + (2 if b else 1), row.size)
-    base = row[: hi - 2].copy()
-    mid = np.exp(row[1 : hi - 1] - base) * (a * (1.0 - b) + (1.0 - a) * b) + a * b
-    row[2:hi] = base + np.log(mid + np.exp(row[2:hi] - base) * ((1.0 - a) * (1.0 - b)))
+def whole_row_advance(row, q, lo, hi):
+    """The group step on every tail up to the jury's new size, whatever the
+    band it is given; the size is read off the row, whose tails are finite
+    up to it."""
+    top = row.size - jer.BLOCK - 1
+    size = np.count_nonzero(row[jer.BLOCK + 1 :] > -np.inf)
+    group_advance(row, q, 1, min(size + q.size - 1, top) + 1)
 
 
 def counting_advance(monkeypatch):
     """Route ``jer._advance``, which the free scan runs, through a counter;
-    returns the error rates of the jurors it absorbed, one entry per juror."""
+    returns the group sizes it absorbed, one entry per call."""
     calls = []
-    kernel = jer._advance
 
-    def advance(row, a, b, *band):
-        calls.extend([a, b] if b else [a])
-        kernel(row, a, b, *band)
+    def advance(row, q, *band):
+        calls.append(q.size - 1)
+        group_advance(row, q, *band)
 
     monkeypatch.setattr(jer, "_advance", advance)
     return calls
 
 
-def log_prefix_scan(pool):
-    """Every odd prefix's log error rate off a whole row: the scan without
-    band, bound or stop.  Returns (best size, its log tail, prefix count)."""
+def log_prefix_scan(pool, monkeypatch):
+    """Every odd prefix's log error rate, the scan advancing the whole row:
+    the scan without band, bound or stop.  Returns (best size, its log
+    tail, prefix count)."""
     order = sorted(pool, key=lambda j: (j.epsilon, j.id))
     n_max = len(order) - (len(order) % 2 == 0)
-    eps = [j.epsilon for j in order[:n_max]]
-    row = solver._empty_row((n_max + 1) // 2 + 2)
-    best = (math.inf, 0)
-    for n in range(1, n_max + 1, 2):
-        a, b = (eps[0], 0.0) if n == 1 else eps[n - 2 : n]
-        whole_row_advance(row, a, b, None, None)
-        best = min(best, (float(row[(n + 3) // 2]), n))
-    return best[1], best[0], (n_max + 1) // 2
+    with monkeypatch.context() as patch:
+        patch.setattr(jer, "_advance", whole_row_advance)
+        tails = [(tail, k) for k, tail in jer._odd_prefix_tails([j.epsilon for j in order[:n_max]])]
+    best = min(tails)
+    return best[1], best[0], len(tails)
 
 
 class TestLiveBand:
@@ -230,12 +227,16 @@ class TestLiveBand:
         advanced = counting_advance(monkeypatch)
         result = solve_altrm(pool)
         # Prefix 63 is the first whose mean wrong count reaches (n + 1) / 2.
-        assert len(advanced) == 63
+        # It is the last read of the block from prefix 49, so the row
+        # stops there: one juror plus three groups.
+        assert (result.juries_evaluated, result.juries_pruned) == (32, 468)
+        assert sum(advanced) == 48
         assert result.jury.size == 11
-        assert result.juries_evaluated + result.juries_pruned == 500
         advanced.clear()
         full = solve_altrm(pool, use_pruning=False)
-        assert len(advanced) == 999
+        # The full scan's last block, from prefix 993, needs no advance.
+        assert (full.juries_evaluated, full.juries_pruned) == (500, 0)
+        assert sum(advanced) == 992
         assert (full.jury, full.jer, full.log10_jer) == (result.jury, result.jer, result.log10_jer)
 
     @pytest.mark.parametrize(
@@ -248,16 +249,14 @@ class TestLiveBand:
         assert (result.juries_evaluated, result.juries_pruned) == counts
 
     def test_answer_matches_a_full_log_scan(self, monkeypatch):
-        advanced = counting_advance(monkeypatch)
         stopped = 0
         for mean in (0.4, 0.5, 0.6, 0.7, 0.8):
             for stddev in (0.05, 0.1, 0.2, 0.3):
                 for seed in range(4):
                     pool = gen_pool(SynthConfig(301, mean, stddev, seed=seed))
-                    size, log_tail, prefixes = log_prefix_scan(pool)
-                    advanced.clear()
+                    size, log_tail, prefixes = log_prefix_scan(pool, monkeypatch)
                     result = solve_altrm(pool)
-                    stopped += len(advanced) < 301
+                    stopped += result.juries_pruned > 0
                     assert result.jury.size == size
                     assert result.log10_jer == log_tail / math.log(10)
                     assert result.jer == math.exp(log_tail)
@@ -271,7 +270,8 @@ class TestLiveBand:
         for use_pruning in (True, False):
             advanced.clear()
             result = solve_altrm([Juror(f"h{i:03d}", 0.5) for i in range(201)], use_pruning=use_pruning)
-            assert len(advanced) == 201
+            # Up to the block from prefix 193, the last.
+            assert sum(advanced) == 192
             assert result.jury.size == 1
             assert result.jer == 0.5
             assert result.juries_evaluated + result.juries_pruned == 101
@@ -282,7 +282,8 @@ class TestLiveBand:
         pool = gen_pool(SynthConfig(500, 0.9, 0.1, seed=1))
         advanced = counting_advance(monkeypatch)
         result = solve_altrm(pool)
-        assert len(advanced) == 499
+        # Up to the block from prefix 497, the last.
+        assert sum(advanced) == 496
         assert result.jury.size == 1
         assert (result.juries_evaluated, result.juries_pruned) == (250, 0)
 
@@ -393,7 +394,7 @@ class TestSolvePaymGreedy:
         assert sorted(result.member_ids) == ["a"]
 
     def test_jer_dp_reads_the_greedy_jer(self):
-        # Every trial is priced on the row the admitted jury keeps, so
+        # The greedy reports the odd-prefix scan's read of its jury, so
         # jer_dp and log_jer read the chosen jury's error rate bit for bit.
         configs = [SynthConfig(22, 0.2, 0.1, requirement_mean=0.05, requirement_stddev=0.2, seed=s) for s in range(4)]
         configs += [
@@ -407,6 +408,19 @@ class TestSolvePaymGreedy:
                 result = solve_paym_greedy(pool, budget)
                 assert jer_dp(result.jury) == result.jer
                 assert log_jer(result.jury) / math.log(10) == result.log10_jer
+
+    @pytest.mark.parametrize("size", [15, 17, 19, 33])
+    def test_jer_dp_reads_the_greedy_jer_at_block_boundaries(self, size):
+        # Juries that end just before, at and after a row advance, and one
+        # block on: a budget of `size` unit requirements caps the size and
+        # each pair of low error rates lowers the error rate.
+        rng = np.random.default_rng(size)
+        for _ in range(5):
+            pool = [Juror(f"b{i:02d}", e, 1.0) for i, e in enumerate(rng.uniform(0.05, 0.3, 40))]
+            result = solve_paym_greedy(pool, float(size))
+            assert result.jury.size == size
+            assert jer_dp(result.jury) == result.jer
+            assert log_jer(result.jury) / math.log(10) == result.log10_jer
 
     def test_jer_neutral_enlargement_admitted(self):
         # The pair leaves the error rate unchanged; the non-strict rule admits it.
