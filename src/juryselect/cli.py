@@ -5,8 +5,9 @@ from a pool file), ``rank`` (corpus to per-user score/error-rate table),
 ``experiment`` (run a declarative experiment spec), ``gen-pool`` (sample a
 synthetic pool to CSV).
 
-Exit codes: 0 ok, 2 unparseable input, 3 even jury size, 4 enumeration
-size cap, 5 no affordable juror, 6 degenerate scores.
+Exit codes: 0 ok, 2 unparseable input, 3 even jury size, 4 size cap (an
+enumeration over its cap, or an input too large for memory), 5 no
+affordable juror, 6 degenerate scores.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .synth import SynthConfig, gen_pool
 # Looked up along the raised exception's MRO, so the most specific class
 # wins.  ValueError covers bad numeric arguments (negative budget, damping
 # outside (0, 1), zero pool size); OSError covers unreadable or unwritable
-# paths.
+# paths; MemoryError a request too large to allocate.
 _EXIT_CODES = {
     EvenSize: 3,
     SizeLimitExceeded: 4,
+    MemoryError: 4,
     NoAffordableJuror: 5,
     DegenerateScores: 6,
     EmptyGraph: 6,
@@ -185,8 +187,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
-    except (JurySelectError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (JurySelectError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
     return 0
 

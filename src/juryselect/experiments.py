@@ -305,12 +305,8 @@ def rank_candidates(
     values = np.fromiter(ranked.scores.values(), float, len(users))
     order = np.argsort(-values, kind="stable")[:top_k]
     epsilons = _squash(values, order, config)
-    requirements: dict[str, float] = {}
-    if created:
-        newest = max(created.values())
-        requirements = ages_to_requirements(
-            {user: newest - stamp for user, stamp in created.items()}
-        )
+    newest = max(created.values(), default=0.0)
+    requirements = ages_to_requirements({user: newest - stamp for user, stamp in created.items()})
 
     return [
         {

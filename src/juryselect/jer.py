@@ -308,22 +308,23 @@ def _absorb_pair(pmfs: np.ndarray, shifted: np.ndarray, j: int, weights: np.ndar
 
 
 def _read_terms(row: np.ndarray, t: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (h, BLOCK + 1) exp table and the bases of the reads j = 1 .. h
+    """The (h, BLOCK + 1) exp table and the bases of the reads j = 0 .. h - 1
     off a row of threshold ``t``: read j gives T'(t + j) after j more
     pairs, T(t - j) + log sum_i Q_j[i] exp(T(t + j - i) - T(t - j)).
-    (Read 0 is T(t) itself.)
 
-    Entry [j - 1, i] is exp(T(t + j - i) - T(t - j)).  Q_j, the pmf of j
+    Entry [j, i] is exp(T(t + j - i) - T(t - j)).  Q_j, the pmf of j
     pairs zero-padded to BLOCK + 1 entries, weighs only i <= 2j, where
-    the tails fall and no exp exceeds 1.  The zero-weighted entries past
+    the tails fall and no exp exceeds 1; read 0 weighs exp(0) = 1 by
+    Q_0 = [1], so it gives T(t) exactly.  The zero-weighted entries past
     that stay finite, so they add exact zeros: one juror's error rate is
     at least 1e-6, so a tail is at least 1e-6 / n times the one below it,
     and tails of fewer jurors, stale below the scan's band, are smaller
-    still; BLOCK such steps stay far from exp's overflow at any pool size
+    still.  Read 0 reaches BLOCK indices below its base, the most of any
+    read; BLOCK such steps stay far from exp's overflow at any pool size
     the scan can handle.
     """
-    view = np.ndarray((h, BLOCK + 1), buffer=row, offset=(t + 1 + BLOCK) * 8, strides=(8, -8))
-    base = row[t - h + BLOCK : t + BLOCK][::-1]
+    view = np.ndarray((h, BLOCK + 1), buffer=row, offset=(t + BLOCK) * 8, strides=(8, -8))
+    base = row[t - h + 1 + BLOCK : t + 1 + BLOCK][::-1]
     terms = np.subtract(view, base[:, None])
     np.exp(terms, out=terms)
     return terms, base
@@ -364,14 +365,15 @@ def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
 
     One log tail row holds the first juror, then absorbs BLOCK jurors per
     :func:`_advance`.  The odd prefixes of a block, k + 2j for j = 0 ..
-    BLOCK / 2 - 1 from the block-start prefix k of threshold t, are read
-    off the row of k: T(t) for j = 0, else with the pmf of the block's
-    first j pairs (:func:`_read_terms`), all pmfs built at once
-    (:func:`_block_pmfs`).  The advance to prefix k' = k + BLOCK updates
-    only the live band, tails max(1, k' - last + 1) through min(k', last),
-    with last = (len(eps) + 1) // 2 the last prefix's threshold: tails
-    above the size are log 0, and the reads and advances of later blocks
-    reach no tail below the band.  The last block needs no advance.
+    BLOCK / 2 - 1 from the block-start prefix k, are read off the row of
+    k in one batch, each with the pmf of the block's first j pairs
+    (:func:`_read_terms`; read 0 is the row's own tail), all pmfs built
+    at once (:func:`_block_pmfs`).  The advance to prefix k' = k + BLOCK
+    updates only the live band, tails max(1, k' - last + 1) through
+    min(k', last), with last = (len(eps) + 1) // 2 the last prefix's
+    threshold: tails above the size are log 0, and the reads and advances
+    of later blocks reach no tail below the band.  The last block needs no
+    advance.
     """
     n = len(eps)
     last = (n + 1) // 2
@@ -379,11 +381,9 @@ def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
     row[BLOCK + 1] = math.log(eps[0])
     pmfs = _block_pmfs(eps)
     for b, k in enumerate(range(1, n + 1, BLOCK)):
-        t = (k + 1) // 2
-        yield k, float(row[BLOCK + t])
-        if reads := min(_PAIRS - 1, (n - k) // 2):
-            tails = _read(*_read_terms(row, t, reads), pmfs[1 : reads + 1, b, 2:])
-            yield from zip(range(k + 2, n + 1, 2), tails.tolist())
+        reads = min(_PAIRS, (n - k) // 2 + 1)
+        tails = _read(*_read_terms(row, (k + 1) // 2, reads), pmfs[:reads, b, 2:])
+        yield from zip(range(k, n + 1, 2), tails.tolist())
         if k + BLOCK <= n:
             _advance(row, pmfs[_PAIRS, b, 2:], max(1, k + BLOCK - last + 1), min(k + BLOCK, last) + 1)
 

@@ -221,8 +221,9 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     arithmetic: three dot products of the read's exp row with the pmf of
     the pairs admitted since the boundary are taken once per admission.
     An admitted pair joins that pmf, and every BLOCK / 2 pairs the row
-    advances by it.  The result's ``jer`` is the scan's read of the
-    final jury, so ``jer_dp`` of its jury gives it bit for bit.
+    advances by it.  The result's ``jer`` is one read of the final jury
+    off that row, the scan's read 0 .. BLOCK / 2 - 1 of it, so ``jer_dp``
+    of its jury gives it bit for bit.
     """
     budget_amount = _amount(budget)
     order = sorted(
@@ -244,15 +245,15 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     row = _empty_row(top)
     row[BLOCK + 1] = current = math.log(order[start].epsilon)
     pmfs, shifted = _pmf_table(_PAIRS, 1)
-    t = 1
-    terms, base = _read_terms(row, t, _PAIRS)
+    terms, base = _read_terms(row, 1, _PAIRS + 1)
     admitted = 0
 
     def price():
-        # Read admitted + 1 weighs terms[admitted] by the pmf with the
-        # trial pair absorbed: base + log(p0 x0 + p1 x1 + p2 x2), x_s the
-        # dot of that row with the pmf shifted by s, so a trial costs O(1).
-        return float(base[admitted]), (terms[admitted] @ shifted[admitted, 0]).tolist()
+        # Read admitted + 1 weighs its row by the pmf with the trial pair
+        # absorbed: base + log(p0 x0 + p1 x1 + p2 x2), x_s the dot of that
+        # row with the pmf shifted by s, so a trial costs O(1).
+        read = admitted + 1
+        return float(base[read]), (terms[read] @ shifted[admitted, 0]).tolist()
 
     low, (x0, x1, x2) = price()
     evaluated = 1
@@ -277,17 +278,14 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
                 admitted += 1
                 if admitted == _PAIRS:
                     _advance(row, pmfs[_PAIRS, 0, 2:], 1, min(len(selected), top) + 1)
-                    t = (len(selected) + 1) // 2
-                    terms, base = _read_terms(row, t, _PAIRS)
+                    terms, base = _read_terms(row, (len(selected) + 1) // 2, _PAIRS + 1)
                     admitted = 0
                 low, (x0, x1, x2) = price()
 
     # The scan's read of this jury, so jer_dp gives the result's jer bit
     # for bit.
-    current = float(row[BLOCK + t])
-    if admitted:
-        read = slice(admitted - 1, admitted)
-        current = float(_read(terms[read], base[read], pmfs[admitted, :, 2:])[0])
+    read = slice(admitted, admitted + 1)
+    current = float(_read(terms[read], base[read], pmfs[admitted, :, 2:])[0])
     jury = Jury(tuple(selected))
     return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 
@@ -339,10 +337,11 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     rows against B's tail rows P(W_B >= t - w).  Branch and bound (Land &
     Doig) skips blocks: a jury's error rate never falls as a member's
     rises, so A's a lowest with B's b lowest bound a block from below.  Blocks
-    are priced in ascending bound order until a bound, less a 1e-12 slack,
-    exceeds the tie window below; a block whose cheapest union overruns
-    the budget is skipped too.  ``juries_evaluated`` counts the odd
-    subsets priced, ``juries_pruned`` those skipped; they sum to 2**(n-1).
+    are priced in ascending bound order; the search ends at the first
+    bound that, less a 1e-12 slack, exceeds the tie window of the best
+    error rate so far, and a block whose cheapest union overruns the
+    budget is skipped too.  ``juries_evaluated`` counts the odd subsets
+    of the priced blocks, ``juries_pruned`` the rest of the 2**(n-1).
     Only the winner's members are decoded from its table columns.
 
     Every feasible jury whose float error rate is at most
@@ -389,8 +388,6 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     cheapest = np.add.outer([cost_a[c].min() for c in cols_a], [cost_b[c].min() for c in cols_b])
     odd = (size_a + size_b) % 2 == 1
     live = odd & (cheapest <= budget_amount)
-    evaluated = 0
-    pruned = int(count[odd & ~live].sum())
     bounds = zip(lower[live].tolist(), size_a[live].tolist(), size_b[live].tolist())
 
     def block_low(a, b):
@@ -398,21 +395,24 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         jer, _, feasible = block(a, b)
         return float(np.min(jer, where=feasible, initial=math.inf))
 
+    # Bounds ascend and the best only falls, so the first pruned block
+    # prunes every later one.
     lows = {}
+    best = math.inf
     for bound, a, b in sorted(bounds):
-        if bound * (1.0 - _BOUND_SLACK) > min(lows.values(), default=math.inf) * (1.0 + _TIE_RTOL):
-            pruned += cols_a[a].size * cols_b[b].size
-        else:
-            evaluated += cols_a[a].size * cols_b[b].size
-            lows[a, b] = block_low(a, b)
-    if min(lows.values(), default=math.inf) == math.inf:
+        if bound * (1.0 - _BOUND_SLACK) > best * (1.0 + _TIE_RTOL):
+            break
+        lows[a, b] = low = block_low(a, b)
+        best = min(best, low)
+    if best == math.inf:
         raise NoAffordableJuror(f"no odd subset fits the budget {budget_amount}")
+    evaluated = int(sum(count[a, b] for a, b in lows))
+    pruned = int(count[odd].sum()) - evaluated
 
-    tied = min(lows.values()) * (1.0 + _TIE_RTOL)
-    winner = None  # (cost, size, -union column, jer)
-    for (a, b), low in lows.items():
-        if low > tied:
-            continue
+    tied = best * (1.0 + _TIE_RTOL)
+
+    def tie_key(a, b):
+        # (cost, size, -union column, jer) of the block's tie winner.
         jer, cost, feasible = block(a, b)
         # Row-major order within a block is id order, so argmin's first
         # hit is the tie winner among equal costs.
@@ -421,11 +421,9 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         # The union's column in an n-member table, A's bits above B's.  For
         # unions of one size, the larger column has the smaller member ids.
         union = int(cols_a[a][i]) << (n - split) | int(cols_b[b][j])
-        key = (float(cost[i, j]), a + b, -union, float(jer[i, j]))
-        if winner is None or key < winner:
-            winner = key
+        return float(cost[i, j]), a + b, -union, float(jer[i, j])
 
-    total_cost, _, union, jer = winner
+    total_cost, _, union, jer = min(tie_key(a, b) for (a, b), low in lows.items() if low <= tied)
     members = tuple(order[i] for i in _members(-union, n))
     return SolveResult(Jury(members), jer, math.log10(jer), total_cost, evaluated, pruned)
 

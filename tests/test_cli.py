@@ -5,7 +5,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +150,23 @@ class TestCmdJer:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["jer", str(tmp_path / "nope.csv")]) == 2
+
+    def test_module_entry_exits_2_without_traceback(self, tmp_path):
+        # python -m juryselect runs cli.entry, which turns main's code into
+        # the process exit status.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "juryselect", "jer", str(tmp_path / "nope.csv")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+    def test_empty_id_exits_2_with_line_number(self, tmp_path, capsys):
+        path = write_lines(tmp_path / "bad.csv", "id,epsilon,requirement", "a,0.1,0", ",0.2,0", "c,0.3,0")
+        assert main(["jer", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: empty id")
 
     def test_duplicate_ids_exit_2(self, tmp_path):
         path = write_lines(
@@ -446,6 +467,19 @@ class TestCmdGenPool:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""], ids=["numpy", "bare"])
+    def test_pool_too_large_for_memory_exits_4(self, tmp_path, capsys, monkeypatch, message):
+        def gen_pool(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("juryselect.cli.gen_pool", gen_pool)
+        args = ["gen-pool", "--pool-size", "100000000000", "--epsilon-mean", "0.2", "--epsilon-stddev", "0.1"]
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message or 'MemoryError'}\n"
+        assert "Traceback" not in captured.err
+
 
 class TestCmdRankSolveRoundTrip:
     def test_rank_output_feeds_solve_directly(self, two_record_corpus, tmp_path, capsys):
@@ -531,8 +565,8 @@ class TestCmdExperiment:
 
     @pytest.mark.parametrize(
         "extra",
-        [{"top_k": 0}, {"top_k": -3}, {"dampng": 0.5}, {"methods": ["hits", "foo"]}],
-        ids=["top-k-0", "top-k-negative", "typo", "unknown-method"],
+        [{"top_k": 0}, {"top_k": -3}, {"top_k": 23}, {"dampng": 0.5}, {"methods": ["hits", "foo"]}],
+        ids=["top-k-0", "top-k-negative", "top-k-past-the-oracle-cap", "typo", "unknown-method"],
     )
     def test_rank_and_select_spec_errors_exit_2(self, tmp_path, two_record_corpus, capsys, extra):
         spec = tmp_path / "spec.json"

@@ -155,6 +155,11 @@ class TestIndexedGraphEquivalence:
         pairs = [(graph.names[u], graph.names[v]) for u, v in zip(graph.src, graph.dst)]
         assert pairs == sorted(edges)
 
+    def test_attributes_cannot_be_set(self):
+        graph = graph_of(("a", "b"))
+        with pytest.raises(AttributeError, match="immutable"):
+            graph.names = ("c",)
+
     def test_endpoint_outside_nodes_rejected(self):
         with pytest.raises(ValueError, match="outside nodes"):
             UserGraph(frozenset({"a"}), frozenset({("a", "b")}))
@@ -179,6 +184,15 @@ class TestIndexedGraphEquivalence:
         for ours, theirs in ((ranked.scores, authorities), (ranked.hubs, hubs)):
             norm = np.linalg.norm(list(theirs.values()))
             assert max(abs(ours[u] - theirs[u] / norm) for u in nodes) <= 1e-8
+
+
+class TestRankConfig:
+    @pytest.mark.parametrize(
+        "field, value", [("max_iterations", 0), ("tolerance", 0.0)], ids=["no-iterations", "zero-tolerance"]
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RankConfig(**{field: value})
 
 
 class TestHits:

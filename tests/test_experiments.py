@@ -139,6 +139,13 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_file(path)
         assert spec.out == f"{path.stem}.csv"
 
+    @pytest.mark.parametrize(
+        "obj, message", [([], "JSON object"), ({"kind": 3}, "string 'kind'")], ids=["list", "numeric-kind"]
+    )
+    def test_from_dict_needs_an_object_with_a_string_kind(self, obj, message):
+        with pytest.raises(InputFormatError, match=message):
+            ExperimentSpec.from_dict(obj)
+
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{nope")
@@ -381,3 +388,8 @@ class TestRankCandidates:
         assert full[-1]["epsilon"] == 1.0 - 1e-6
         for top_k in (1, 5, len(full), len(full) + 3):
             assert rank_candidates(corpus, method, config, top_k) == full[:top_k]
+
+    def test_unknown_method_rejected(self, tmp_path):
+        corpus = synthetic_corpus(tmp_path / "corpus.ndjson", users=8, tweets=20)
+        with pytest.raises(InputFormatError, match="eigen"):
+            rank_candidates(corpus, "eigen")

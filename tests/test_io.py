@@ -136,6 +136,15 @@ class TestCorpus:
         (record,) = read_corpus(path)
         assert record.author_created_at == pytest.approx(1341100800.0)
 
+    def test_iso_timestamp_without_zone_reads_as_utc(self, tmp_path):
+        path = tmp_path / "tweets.ndjson"
+        path.write_text(
+            '{"author": "a", "content": "x", "author_created_at": "2012-08-01T12:00:00"}\n'
+            '{"author": "b", "content": "y", "author_created_at": "2012-08-01T12:00:00Z"}\n'
+        )
+        naive, utc = read_corpus(path)
+        assert naive.author_created_at == utc.author_created_at
+
     def test_epoch_string_parsed(self, tmp_path):
         path = tmp_path / "tweets.ndjson"
         path.write_text('{"author": "a", "content": "x", "author_created_at": "123456"}\n')
@@ -184,6 +193,17 @@ class TestCorpus:
         with pytest.raises(CorpusError):
             list(read_corpus(path))
 
+    def test_missing_content_rejected(self, tmp_path):
+        path = tmp_path / "tweets.ndjson"
+        path.write_text('{"author": "a"}\n')
+        with pytest.raises(CorpusError, match="missing 'content'") as err:
+            list(read_corpus(path))
+        assert err.value.record_index == 1
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CorpusError, match="cannot read"):
+            list(read_corpus(tmp_path / "nope.ndjson"))
+
     def test_bad_timestamp_rejected(self, tmp_path):
         path = tmp_path / "tweets.ndjson"
         path.write_text('{"author": "a", "content": "x", "author_created_at": "not a date"}\n')
@@ -208,6 +228,17 @@ class TestCorpus:
             list(read_corpus(path))
         assert err.value.record_index == 2
         assert f"{path}:2:" in str(err.value)
+
+    @pytest.mark.parametrize("stamp", ["[1]", "true"], ids=["list", "boolean"])
+    def test_timestamp_of_another_type_rejected_with_record_index(self, tmp_path, stamp):
+        path = tmp_path / "tweets.ndjson"
+        path.write_text(
+            '{"author": "a", "content": "x", "author_created_at": 1000}\n'
+            f'{{"author": "b", "content": "y", "author_created_at": {stamp}}}\n'
+        )
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: bad author_created_at") as err:
+            list(read_corpus(path))
+        assert err.value.record_index == 2
 
     def test_extra_data_after_object_rejected(self, tmp_path):
         path = tmp_path / "tweets.ndjson"

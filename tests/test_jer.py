@@ -128,6 +128,10 @@ class TestJerDp:
             assert log_jer(jury) <= 0.0
             assert jer_dp(jury) <= 1.0
 
+    def test_non_juror_member_rejected(self):
+        with pytest.raises(InvalidJury):
+            jer_dp([Juror("a", 0.2), 0.3, Juror("c", 0.4)])
+
 
 def one_juror_step(row, e):
     """The earlier kernel, kept as an independent reference: absorb one
@@ -347,6 +351,20 @@ class TestWrongCountDistribution:
     def test_bad_total_rejected(self):
         with pytest.raises(InvalidDistribution):
             WrongCountDistribution(np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize(
+        "mass, message",
+        [
+            ([], "non-empty 1-d"),
+            ([[0.5, 0.5]], "non-empty 1-d"),
+            ([0.5, np.nan, 0.5], "finite"),
+            ([0.0, 1.0 + 1e-6], "above"),
+        ],
+        ids=["empty", "2-d", "nan", "above-one"],
+    )
+    def test_malformed_mass_rejected(self, mass, message):
+        with pytest.raises(InvalidDistribution, match=message):
+            WrongCountDistribution(np.array(mass))
 
 
 class TestJerFromDistribution:

@@ -109,6 +109,10 @@ class TestMonteCarloJer:
         assert estimate in (0.0, 1.0)
         assert std_error == 0.0
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_jer(Jury.from_epsilons([0.2, 0.3, 0.3]), 0, seed=1)
+
     def test_deterministic_per_seed(self):
         jury = Jury.from_epsilons([0.2, 0.4, 0.6])
         assert monte_carlo_jer(jury, 5000, 42) == monte_carlo_jer(jury, 5000, 42)
