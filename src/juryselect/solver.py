@@ -10,7 +10,9 @@ Two cost models:
   fit a budget.  Exact selection is intractable, so ``solve_paym_greedy``
   grows a jury in cheap pairs, and ``solve_oracle`` provides exact
   ground truth for pools of up to 22 candidates by meeting in the middle:
-  per-half subset tables, joined one pair of subset sizes at a time.
+  per-half subset tables, joined one pair of subset sizes at a time.  The
+  tables do not depend on the budget, so the oracle keeps the last pool's
+  (a one-pool memo): a sweep of budgets over one pool builds them once.
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so both run
 the log tail row of :mod:`juryselect.jer`, advanced BLOCK jurors at a
@@ -21,6 +23,7 @@ time, and read the juries in between off its block-start row:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -326,6 +329,58 @@ def _members(column: int, h: int) -> list[int]:
     return [i for i in range(h) if column >> (h - 1 - i) & 1]
 
 
+class _OracleTables(NamedTuple):
+    """One pool's budget-independent oracle state; see ``_oracle_tables``."""
+
+    pmf_a: np.ndarray
+    cols_a: tuple[np.ndarray, ...]
+    cost_a: np.ndarray
+    cols_b: tuple[np.ndarray, ...]
+    cost_b: np.ndarray
+    tails_b: np.ndarray
+    column: np.ndarray
+    # (bound, a, b, cheapest union cost) of every odd (a, b) block, in
+    # ascending (bound, a, b) order.
+    blocks: tuple[tuple[float, int, int, float], ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_tables(order: tuple[Juror, ...]) -> _OracleTables:
+    """``solve_oracle``'s tables for the id-sorted pool ``order``.
+
+    ``Juror`` is a frozen dataclass, so a hit means
+    every member's id, error rate and requirement is equal, and the tables
+    are the ones a fresh build would give, bit for bit.  Only the last
+    pool's tables are held (under 1 MB at 22 candidates), and every array
+    is read-only, so no caller can alter the next call's tables.
+    """
+    split = len(order) // 2
+    pmf_a, cols_a, cost_a, lowest_a = _half_table(order[:split])
+    pmf_b, cols_b, cost_b, lowest_b = _half_table(order[split:])
+
+    # P(W_B >= j) for j = 0..len(B) + 1, summed from the top, one row per
+    # subset of B: entries above a subset's size are exact zeros, so each
+    # row is the sum from its size down.
+    tails_b = np.zeros((pmf_b.shape[1], pmf_b.shape[0] + 1))
+    tails_b[:, :-1] = np.cumsum(pmf_b[::-1], axis=0)[::-1].T
+    size_a, size_b = np.indices((len(cols_a), len(cols_b)))
+    # column[a, b, w]: where P(W_B >= t - w) sits in a tail row, t the
+    # majority threshold of a + b jurors.  Tails past B's size are 0, so
+    # only w > t needs clipping, to P(W_B >= 0).
+    column = np.maximum((size_a + size_b + 1)[..., None] // 2 - np.arange(split + 1), 0)
+
+    # Every (a, b) block at once: its bound, and the cost of its cheapest
+    # union.
+    lower = (pmf_a[:, lowest_a].T[:, None, :] * tails_b[lowest_b][size_b[..., None], column]).sum(axis=2)
+    cheapest = np.add.outer([cost_a[c].min() for c in cols_a], [cost_b[c].min() for c in cols_b])
+    odd = (size_a + size_b) % 2 == 1
+    blocks = zip(lower[odd].tolist(), size_a[odd].tolist(), size_b[odd].tolist(), cheapest[odd].tolist())
+
+    for array in (pmf_a, *cols_a, cost_a, *cols_b, cost_b, tails_b, column):
+        array.flags.writeable = False
+    return _OracleTables(pmf_a, tuple(cols_a), cost_a, tuple(cols_b), cost_b, tails_b, column, tuple(sorted(blocks)))
+
+
 def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     """Exact ground truth: the best odd, budget-feasible jury.
 
@@ -342,7 +397,15 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     error rate so far, and a block whose cheapest union overruns the
     budget is skipped too.  ``juries_evaluated`` counts the odd subsets
     of the priced blocks, ``juries_pruned`` the rest of the 2**(n-1).
-    Only the winner's members are decoded from its table columns.
+    Only the winner's members are decoded from its table columns, and from
+    this call's own pool, so the result holds the caller's ``Juror``s.
+
+    Everything but the budget's skips and the priced blocks is budget-
+    independent: both tables, B's tail rows, and every block's bound and
+    cheapest cost in bound order.  ``_oracle_tables`` builds it and keeps
+    it for the last pool only, so calls over one pool at several budgets,
+    back to back, build it once; a call on a pool that differs in any
+    member's id, error rate or requirement builds it anew.
 
     Every feasible jury whose float error rate is at most
     ``low * (1 + 1e-13)``, with ``low`` the least one, counts as tied with
@@ -360,35 +423,12 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     budget_amount = _amount(budget)
 
     order = tuple(sorted(candidates, key=lambda j: j.id))
-    split = n // 2
-    pmf_a, cols_a, cost_a, lowest_a = _half_table(order[:split])
-    pmf_b, cols_b, cost_b, lowest_b = _half_table(order[split:])
-
-    # P(W_B >= j) for j = 0..len(B) + 1, summed from the top, one row per
-    # subset of B: entries above a subset's size are exact zeros, so each
-    # row is the sum from its size down.
-    tails_b = np.zeros((pmf_b.shape[1], pmf_b.shape[0] + 1))
-    tails_b[:, :-1] = np.cumsum(pmf_b[::-1], axis=0)[::-1].T
-    count = np.outer([c.size for c in cols_a], [c.size for c in cols_b])
-    size_a, size_b = np.indices(count.shape)
-    # column[a, b, w]: where P(W_B >= t - w) sits in a tail row, t the
-    # majority threshold of a + b jurors.  Tails past B's size are 0, so
-    # only w > t needs clipping, to P(W_B >= 0).
-    column = np.maximum((size_a + size_b + 1)[..., None] // 2 - np.arange(split + 1), 0)
+    pmf_a, cols_a, cost_a, cols_b, cost_b, tails_b, column, blocks = _oracle_tables(order)
 
     def block(a, b):
         jer = pmf_a[: a + 1, cols_a[a]].T @ tails_b[cols_b[b][:, None], column[a, b, : a + 1]].T
         cost = cost_a[cols_a[a]][:, None] + cost_b[cols_b[b]][None, :]
         return jer, cost, cost <= budget_amount
-
-    # Every (a, b) block at once: its bound, and whether even its cheapest
-    # union overruns the budget.  Float addition is monotone, so that skip
-    # is exact.
-    lower = (pmf_a[:, lowest_a].T[:, None, :] * tails_b[lowest_b][size_b[..., None], column]).sum(axis=2)
-    cheapest = np.add.outer([cost_a[c].min() for c in cols_a], [cost_b[c].min() for c in cols_b])
-    odd = (size_a + size_b) % 2 == 1
-    live = odd & (cheapest <= budget_amount)
-    bounds = zip(lower[live].tolist(), size_a[live].tolist(), size_b[live].tolist())
 
     def block_low(a, b):
         # Returns a float, so no block's arrays outlive its turn.
@@ -396,18 +436,21 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         return float(np.min(jer, where=feasible, initial=math.inf))
 
     # Bounds ascend and the best only falls, so the first pruned block
-    # prunes every later one.
+    # prunes every later one.  A block whose cheapest union overruns the
+    # budget is skipped: float addition is monotone, so that skip is exact.
     lows = {}
     best = math.inf
-    for bound, a, b in sorted(bounds):
+    for bound, a, b, cheapest in blocks:
+        if cheapest > budget_amount:
+            continue
         if bound * (1.0 - _BOUND_SLACK) > best * (1.0 + _TIE_RTOL):
             break
         lows[a, b] = low = block_low(a, b)
         best = min(best, low)
     if best == math.inf:
         raise NoAffordableJuror(f"no odd subset fits the budget {budget_amount}")
-    evaluated = int(sum(count[a, b] for a, b in lows))
-    pruned = int(count[odd].sum()) - evaluated
+    evaluated = sum(cols_a[a].size * cols_b[b].size for a, b in lows)
+    pruned = 2 ** (n - 1) - evaluated
 
     tied = best * (1.0 + _TIE_RTOL)
 
@@ -420,7 +463,7 @@ def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:
         i, j = np.unravel_index(pick, cost.shape)
         # The union's column in an n-member table, A's bits above B's.  For
         # unions of one size, the larger column has the smaller member ids.
-        union = int(cols_a[a][i]) << (n - split) | int(cols_b[b][j])
+        union = int(cols_a[a][i]) << (n - n // 2) | int(cols_b[b][j])
         return float(cost[i, j]), a + b, -union, float(jer[i, j])
 
     total_cost, _, union, jer = min(tie_key(a, b) for (a, b), low in lows.items() if low <= tied)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from juryselect import Juror
+from juryselect import Juror, solver
+
+
+@pytest.fixture(autouse=True)
+def cold_oracle_memo():
+    """Each test starts with no oracle tables held, so no answer or counter
+    depends on which test ran before it."""
+    solver._oracle_tables.cache_clear()
 
 
 @pytest.fixture

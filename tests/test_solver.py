@@ -690,6 +690,96 @@ class TestSolveOracle:
             assert greedy.jer - truth.jer >= -1e-9
 
 
+def oracle_key(result):
+    """Everything a caller reads off an oracle answer, floats as exact bits."""
+    return (
+        sorted(result.member_ids),
+        result.jer.hex(),
+        result.total_cost.hex(),
+        result.juries_evaluated,
+        result.juries_pruned,
+    )
+
+
+def cold_oracle(pool, budget):
+    solver._oracle_tables.cache_clear()
+    return solve_oracle(pool, budget)
+
+
+SWEEP_BUDGETS = [round(1.0 + 0.2 * i, 1) for i in range(11)]
+
+
+class TestOracleMemo:
+    def sweep_pools(self):
+        pools = [gen_pool(SynthConfig(22, 0.2, 0.1, 0.05, 0.2, seed=seed)) for seed in (1000, 1001, 1002)]
+        return [(pool, SWEEP_BUDGETS) for pool in pools] + self.small_pools()
+
+    def small_pools(self):
+        # Criterion 7's random pools, several budgets each.
+        rng = np.random.default_rng(7)
+        pools = []
+        for _ in range(40):
+            n = int(rng.integers(1, 17))
+            eps, req = rng.uniform(0.05, 0.95, n), rng.uniform(0.0, 1.0, n)
+            pool = [Juror(f"j{i:02d}", e, r) for i, (e, r) in enumerate(zip(eps, req))]
+            budgets = [float(req.min() + rng.uniform(0.0, req.sum())) for _ in range(3)]
+            pools.append((pool, [*budgets, math.inf]))
+        return pools
+
+    def test_warm_sweeps_match_cold_calls(self):
+        for pool, budgets in self.sweep_pools():
+            cold = [oracle_key(cold_oracle(pool, budget)) for budget in budgets]
+            solver._oracle_tables.cache_clear()
+            warm = [oracle_key(oracle(pool, budget)) for budget in budgets]
+            assert warm == cold
+            # Every call after the first reused the first call's tables.
+            info = solver._oracle_tables.cache_info()
+            assert (info.hits, info.misses, info.maxsize) == (len(budgets) - 1, 1, 1)
+
+    def test_interleaved_pools_match_cold_calls(self):
+        a, b = (gen_pool(SynthConfig(22, 0.2, 0.1, 0.05, 0.2, seed=seed)) for seed in (7, 8))
+        for budget in (1.0, 2.0, 3.0):
+            cold = [oracle_key(cold_oracle(pool, budget)) for pool in (a, b)]
+            solver._oracle_tables.cache_clear()
+            warm = [oracle_key(oracle(pool, budget)) for pool in (a, b, a)]
+            assert warm == [*cold, cold[0]]
+            # One pool is held, so each switch rebuilds.
+            assert solver._oracle_tables.cache_info().misses == 3
+
+    def test_a_pool_differing_in_one_requirement_misses(self):
+        pool = gen_pool(SynthConfig(22, 0.2, 0.1, 0.05, 0.2, seed=1000))
+        first = oracle(pool, 2.0)
+        # Price one of the winner's members out of the budget: answered off
+        # the stale tables, the winner could not change.
+        dropped = min(first.member_ids)
+        changed = [Juror(j.id, j.epsilon, 2.5) if j.id == dropped else j for j in pool]
+        result = oracle(changed, 2.0)
+        assert solver._oracle_tables.cache_info().misses == 2
+        assert dropped not in result.member_ids
+        assert oracle_key(result) == oracle_key(cold_oracle(changed, 2.0))
+
+    def test_an_equal_pool_hits_and_returns_its_own_jurors(self):
+        pool = gen_pool(SynthConfig(22, 0.2, 0.1, 0.05, 0.2, seed=1000))
+        copy = [Juror(j.id, j.epsilon, j.requirement) for j in pool]
+        first = oracle(pool, 2.0)
+        again = oracle(copy, 2.0)
+        assert solver._oracle_tables.cache_info().hits == 1
+        assert oracle_key(again) == oracle_key(first)
+        by_id = {j.id: j for j in copy}
+        assert all(member is by_id[member.id] for member in again.jury.members)
+
+    def test_memoised_arrays_are_read_only(self):
+        order = tuple(sorted(gen_pool(SynthConfig(9, 0.2, 0.1, 0.05, 0.2, seed=3)), key=lambda j: j.id))
+        tables = solver._oracle_tables(order)
+        arrays = [value for value in tables if isinstance(value, np.ndarray)]
+        arrays += [*tables.cols_a, *tables.cols_b]
+        assert len(arrays) == 5 + len(tables.cols_a) + len(tables.cols_b)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+        assert isinstance(tables.blocks, tuple)
+
+
 class TestCompareResults:
     def test_identical_juries(self):
         result = solve_paym_greedy(make_pool(PAYM_POOL), 0.5)
