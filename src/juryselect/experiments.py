@@ -241,11 +241,7 @@ def _run_paym_effectiveness(spec: ExperimentSpec):
         raise InputFormatError(
             f"paym-effectiveness needs pool_size <= {ORACLE_SIZE_MAX} for the enumeration baseline"
         )
-    # Each pool's budgets run back to back, so the oracle builds its
-    # tables once per pool; rows still come out in (stddev, budget, seed)
-    # order, keyed by grid position.
-    rows = {}
-    for (i, stddev), (k, seed) in product(enumerate(p["epsilon_stddevs"]), enumerate(spec.seeds)):
+    for stddev, budget, seed in product(p["epsilon_stddevs"], p["budgets"], spec.seeds):
         pool = gen_pool(
             SynthConfig(
                 p["pool_size"],
@@ -256,24 +252,22 @@ def _run_paym_effectiveness(spec: ExperimentSpec):
                 seed=seed,
             )
         )
-        for j, budget in enumerate(p["budgets"]):
-            greedy = solve_paym_greedy(pool, budget)
-            truth = solve_oracle(pool, budget)
-            comparison = compare_results(greedy, truth)
-            rows[i, j, k] = {
-                "epsilon_stddev": stddev,
-                "budget": budget,
-                "seed": seed,
-                "jer_greedy": greedy.jer,
-                "jer_oracle": truth.jer,
-                "log10_jer_greedy": greedy.log10_jer,
-                "log10_jer_oracle": truth.log10_jer,
-                "cost_greedy": greedy.total_cost,
-                "cost_oracle": truth.total_cost,
-                "precision": comparison.precision,
-                "recall": comparison.recall,
-            }
-    return [rows[key] for key in sorted(rows)]
+        greedy = solve_paym_greedy(pool, budget)
+        truth = solve_oracle(pool, budget)
+        comparison = compare_results(greedy, truth)
+        yield {
+            "epsilon_stddev": stddev,
+            "budget": budget,
+            "seed": seed,
+            "jer_greedy": greedy.jer,
+            "jer_oracle": truth.jer,
+            "log10_jer_greedy": greedy.log10_jer,
+            "log10_jer_oracle": truth.log10_jer,
+            "cost_greedy": greedy.total_cost,
+            "cost_oracle": truth.total_cost,
+            "precision": comparison.precision,
+            "recall": comparison.recall,
+        }
 
 
 def rank_candidates(

@@ -329,28 +329,17 @@ def _members(column: int, h: int) -> list[int]:
     return [i for i in range(h) if column >> (h - 1 - i) & 1]
 
 
-class _OracleTables(NamedTuple):
-    """One pool's budget-independent oracle state; see ``_oracle_tables``."""
-
-    pmf_a: np.ndarray
-    cols_a: tuple[np.ndarray, ...]
-    cost_a: np.ndarray
-    cols_b: tuple[np.ndarray, ...]
-    cost_b: np.ndarray
-    tails_b: np.ndarray
-    column: np.ndarray
-    # (bound, a, b, cheapest union cost) of every odd (a, b) block, in
-    # ascending (bound, a, b) order.
-    blocks: tuple[tuple[float, int, int, float], ...]
-
-
 @functools.lru_cache(maxsize=1)
-def _oracle_tables(order: tuple[Juror, ...]) -> _OracleTables:
+def _oracle_tables(order: tuple[Juror, ...]) -> tuple:
     """``solve_oracle``'s tables for the id-sorted pool ``order``.
 
-    ``Juror`` is a frozen dataclass, so a hit means
-    every member's id, error rate and requirement is equal, and the tables
-    are the ones a fresh build would give, bit for bit.  Only the last
+    Returns (pmf_a, cols_a, cost_a, cols_b, cost_b, tails_b, column,
+    blocks), ``blocks`` holding (bound, a, b, cheapest union cost) of
+    every odd (a, b) block in ascending (bound, a, b) order.
+
+    ``Juror`` is a frozen dataclass, so a hit means every member's id,
+    error rate and requirement is equal, and the tables are the ones a
+    fresh build would give, bit for bit.  Only the last
     pool's tables are held (under 1 MB at 22 candidates), and every array
     is read-only, so no caller can alter the next call's tables.
     """
@@ -378,7 +367,7 @@ def _oracle_tables(order: tuple[Juror, ...]) -> _OracleTables:
 
     for array in (pmf_a, *cols_a, cost_a, *cols_b, cost_b, tails_b, column):
         array.flags.writeable = False
-    return _OracleTables(pmf_a, tuple(cols_a), cost_a, tuple(cols_b), cost_b, tails_b, column, tuple(sorted(blocks)))
+    return pmf_a, tuple(cols_a), cost_a, tuple(cols_b), cost_b, tails_b, column, tuple(sorted(blocks))
 
 
 def solve_oracle(pool: PoolLike, budget: BudgetLike) -> SolveResult:

@@ -1,7 +1,6 @@
 """Experiment spec validation and one small run per experiment kind."""
 
 import csv
-import itertools
 import json
 import math
 from pathlib import Path
@@ -9,19 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from juryselect import (
-    ExperimentSpec,
-    InputFormatError,
-    SynthConfig,
-    compare_results,
-    experiments,
-    gen_pool,
-    rank_candidates,
-    run_experiment,
-    solve_oracle,
-    solve_paym_greedy,
-    solver,
-)
+from juryselect import ExperimentSpec, InputFormatError, rank_candidates, run_experiment
 from juryselect.estimate import RankConfig, TweetRecord
 from juryselect.io import write_corpus
 
@@ -348,33 +335,6 @@ class TestPaymEffectiveness:
         rows = read_rows(run_experiment(spec))
         assert len(rows) == 11
         assert all(float(r["jer_greedy"]) >= float(r["jer_oracle"]) - 1e-9 for r in rows)
-
-    def test_rows_keep_grid_order_and_per_point_values(self, tmp_path):
-        # Pools are built once per (stddev, seed) and their budgets solved
-        # back to back; rows still follow the (stddev, budget, seed) grid
-        # and equal a fresh pool and solve per grid point.
-        params = {
-            "pool_size": 14,
-            "epsilon_mean": 0.2,
-            "epsilon_stddevs": [0.05, 0.1],
-            "requirement_mean": 0.05,
-            "requirement_stddev": 0.2,
-            "budgets": [1.4, 1.0, 1.8],
-        }
-        spec = ExperimentSpec("paym-effectiveness", params, seeds=(3, 1, 2), out=str(tmp_path / "eff.csv"))
-        rows = list(experiments._run_paym_effectiveness(spec))
-        # The oracle built its tables once per pool: 2 stddevs x 3 seeds.
-        assert solver._oracle_tables.cache_info().misses == 6
-        grid = list(itertools.product(params["epsilon_stddevs"], params["budgets"], spec.seeds))
-        assert [(r["epsilon_stddev"], r["budget"], r["seed"]) for r in rows] == grid
-        for row, (stddev, budget, seed) in zip(rows, grid):
-            pool = gen_pool(SynthConfig(14, 0.2, stddev, 0.05, 0.2, seed=seed))
-            greedy, truth = solve_paym_greedy(pool, budget), solve_oracle(pool, budget)
-            assert row["jer_greedy"] == greedy.jer and row["jer_oracle"] == truth.jer
-            assert row["cost_greedy"] == greedy.total_cost and row["cost_oracle"] == truth.total_cost
-            assert (row["precision"], row["recall"]) == compare_results(greedy, truth)[:2]
-        written = read_rows(run_experiment(spec))
-        assert [float(r["jer_oracle"]) for r in written] == [r["jer_oracle"] for r in rows]
 
     def test_pool_size_cap(self, tmp_path):
         spec = ExperimentSpec(

@@ -770,14 +770,12 @@ class TestOracleMemo:
 
     def test_memoised_arrays_are_read_only(self):
         order = tuple(sorted(gen_pool(SynthConfig(9, 0.2, 0.1, 0.05, 0.2, seed=3)), key=lambda j: j.id))
-        tables = solver._oracle_tables(order)
-        arrays = [value for value in tables if isinstance(value, np.ndarray)]
-        arrays += [*tables.cols_a, *tables.cols_b]
-        assert len(arrays) == 5 + len(tables.cols_a) + len(tables.cols_b)
+        pmf_a, cols_a, cost_a, cols_b, cost_b, tails_b, column, blocks = solver._oracle_tables(order)
+        arrays = [pmf_a, *cols_a, cost_a, *cols_b, cost_b, tails_b, column]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
-        assert isinstance(tables.blocks, tuple)
+        assert isinstance(blocks, tuple)
 
 
 class TestCompareResults:
