@@ -20,10 +20,12 @@ with the pmfs of the block's first pairs, all built at once; it advances
 only the band of tails a later read can reach.  ``log_jer`` takes its
 last tail, ``solve_altrm`` reads every prefix, and ``solve_paym_greedy``
 keeps a block-start row and prices each trial pair by the same read in
-O(1).  A step or a read scales each tail by the largest one it sums and
-adds only positive terms, with vectorised ``exp`` and ``log``, so the
-row stays exact to relative float precision far below the float floor
-(1e-308), where very reliable juries' error rates live.
+O(1).  A read scales each tail by the largest one it sums, and a step
+scales each aligned chunk of BLOCK tails by the largest tail its inputs
+hold, two ``exp``s per tail; both add only positive terms, with
+vectorised ``exp`` and ``log``, so the row stays exact to relative float
+precision far below the float floor (1e-308), where very reliable
+juries' error rates live.
 
 ``jer_lower_bound`` gives a Paley-Zygmund style lower bound on the tail
 from the first two moments of the wrong count, in O(n).  No solver uses
@@ -54,10 +56,12 @@ DIRECT_CONVOLUTION_MAX = 64
 NAIVE_SIZE_MAX = 25
 
 # Jurors absorbed per tail row update in the odd-prefix scan, whose reads
-# cover the BLOCK // 2 prefixes in between.  A group step's least weight,
-# EPSILON_FLOOR ** BLOCK = 1e-96, must stay far above the float floor,
-# and a read's zero-weighted terms, exp of at most about 22 per index,
-# far below exp's overflow; within that the value only affects speed.
+# cover the BLOCK // 2 prefixes in between, and tails per chunk of a
+# step.  A group step's least weight, EPSILON_FLOOR ** BLOCK = 1e-96, and
+# the least scaled input it divides by, about (1e-6 / n) ** (BLOCK - 1),
+# must stay far above the float floor, and a read's zero-weighted terms,
+# exp of at most about 22 per index, far below exp's overflow; within
+# that the value only affects speed.
 BLOCK = 16
 _PAIRS = BLOCK // 2
 
@@ -256,29 +260,56 @@ def _empty_row(top: int) -> np.ndarray:
 
 def _advance(row: np.ndarray, q: np.ndarray, lo: int, hi: int) -> None:
     """Absorb a group of m = ``q.size - 1`` jurors, whose wrong count has
-    pmf ``q``, into tails T(lo) through T(hi - 1) of ``row``, in place.
+    pmf ``q``, into tails T(lo) through T(hi - 1) of ``row``, in place:
+    T(l) becomes T(l - m) + log sum_s q[s] exp(T(l - s) - T(l - m)),
+    with two exps per tail, not m + 1.  The band is taken in chunks
+    aligned to absolute multiples of BLOCK: chunk c holds tails l =
+    BLOCK c .. BLOCK c + BLOCK - 1, and its inputs x = BLOCK c - BLOCK ..
+    BLOCK c + BLOCK - 1 are scaled by the first and largest of them,
+    U(x) = exp(T(x) - T(BLOCK c - BLOCK)), one exp per input.  Each tail
+    then sums q[s] U(l - s) / U(l - m) in place of q[s] exp(T(l - s) -
+    T(l - m)), so its s = m term is q[m] exactly, as with a reference per
+    tail.  The reference depends on the chunk alone, never on the band,
+    so a tail comes out the same, bit for bit, in any band that holds it.
 
-    T(l) becomes T(l - m) + log sum_s q[s] exp(T(l - s) - T(l - m)).
-    Tails fall with l, so no exp exceeds 1, and the s = m term is q[m],
-    the product of the group's error rates, at least 1e-6 ** BLOCK: no
-    term that matters underflows.  One (m + 1, band) view of the row,
-    whose row s holds T(l - s) for the band's l, feeds one subtract, exp,
-    weighted sum over s, log and add.  Entries outside the band keep
-    their old values.  ``lo`` is at least 1 and m at most BLOCK; the last
-    tail updated must not pass the jury's new size, where the base is
-    log 0 and the result NaN.
+    No U exceeds 1.  For m = BLOCK, U(l - m) lies at most BLOCK - 1
+    indices from its reference, and a tail is at least 1e-6 / n times the
+    one below it, so U(l - m) is at least about 1e-155 at n = 2e4; an
+    input whose U underflows weighs at most 1e-153 against it.  (Smaller
+    groups reach 2 BLOCK - 1 - m indices.)  Each sum is at least q[m],
+    the product of the group's error rates, at least 1e-6 ** BLOCK =
+    1e-96, and tails fall with l, so it is at most about 1.  The divide
+    and log run over the band only, as a chunk's other entries may be 0,
+    and entries outside the band keep their old values.  ``lo`` is at
+    least 1 and m at most BLOCK; tails from lo rounded down to a multiple
+    of BLOCK, less BLOCK, must be current, and the last tail updated must
+    not pass the jury's new size.
     """
-    m, band = q.size - 1, hi - lo
-    view = np.ndarray((m + 1, band), buffer=row, offset=(lo + BLOCK) * 8, strides=(-8, 8))
-    # einsum sums each tail's terms in order of s whatever the band, as
-    # long as the s axis is strided: the spare column keeps it so at a
-    # band of one.  A BLAS matvec rounds a tail by its place in the band.
-    terms = np.empty((m + 1, band + 1))[:, :band]
-    np.subtract(view, view[m], out=terms)
-    np.exp(terms, out=terms)
-    total = np.einsum("sl,s->l", terms, q)
+    m = q.size - 1
+    start, stop = lo - lo % BLOCK, hi - 1 - (hi - 1) % BLOCK + BLOCK
+    chunks = (stop - start) // BLOCK
+    refs = row[start : stop - BLOCK + 1 : BLOCK]
+    # Inputs T(start - BLOCK) through T(stop - 1), row entries start
+    # through stop + BLOCK - 1; past the row's end they are log 0.
+    buffer, offset = row, start * 8
+    if stop + BLOCK > row.size:
+        buffer, offset = np.full(stop + BLOCK - start, -np.inf), 0
+        buffer[: row.size - start] = row[start:]
+    # u[i, c] = U(BLOCK c - BLOCK + i) of chunk c, in C order, and
+    # terms[j, s, c] = U(BLOCK c + j - s): the sum over s runs along
+    # contiguous chunks, and a column-major ravel puts tails in order.
+    inputs = np.ndarray((2 * BLOCK, chunks), buffer=buffer, offset=offset, strides=(8, BLOCK * 8))
+    u = np.subtract(inputs, refs, order="C")
+    np.exp(u, out=u)
+    terms = np.ndarray(
+        (BLOCK, m + 1, chunks), buffer=u, offset=BLOCK * chunks * 8, strides=(chunks * 8, -chunks * 8, 8)
+    )
+    # einsum sums each tail's terms in order of s whatever the number of
+    # chunks; a BLAS matvec rounds a tail by its place in the band.
+    total = np.einsum("jsc,s->jc", terms, q).ravel("F")[lo - start : hi - start]
+    np.divide(total, u[BLOCK - m : 2 * BLOCK - m].ravel("F")[lo - start : hi - start], out=total)
     np.log(total, out=total)
-    np.add(view[m], total, out=row[lo + BLOCK : hi + BLOCK])
+    np.add(row[lo - m + BLOCK : hi - m + BLOCK], total, out=row[lo + BLOCK : hi + BLOCK])
 
 
 def _pair_weights(a, b, ca, cb):
@@ -372,12 +403,15 @@ def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
     updates only the live band, tails max(1, k' - last + 1) through
     min(k', last), with last = (len(eps) + 1) // 2 the last prefix's
     threshold: tails above the size are log 0, and the reads and advances
-    of later blocks reach no tail below the band.  The last block needs no
-    advance.
+    of later blocks reach no tail below the band.  The band's start is
+    rounded down to a multiple of BLOCK, so that the tails a step scales
+    by, BLOCK below the first of each chunk, were in the band of the step
+    before.  The row holds BLOCK log-0 tails past ``last``, so no step's
+    inputs run past its end.  The last block needs no advance.
     """
     n = len(eps)
     last = (n + 1) // 2
-    row = _empty_row(last)
+    row = _empty_row(last + BLOCK)
     row[BLOCK + 1] = math.log(eps[0])
     pmfs = _block_pmfs(eps)
     for b, k in enumerate(range(1, n + 1, BLOCK)):
@@ -385,7 +419,8 @@ def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
         tails = _read(*_read_terms(row, (k + 1) // 2, reads), pmfs[:reads, b, 2:])
         yield from zip(range(k, n + 1, 2), tails.tolist())
         if k + BLOCK <= n:
-            _advance(row, pmfs[_PAIRS, b, 2:], max(1, k + BLOCK - last + 1), min(k + BLOCK, last) + 1)
+            lo = max(1, (k + BLOCK - last + 1) // BLOCK * BLOCK)
+            _advance(row, pmfs[_PAIRS, b, 2:], lo, min(k + BLOCK, last) + 1)
 
 
 def log_jer(jury: JuryLike) -> float:

@@ -30,6 +30,7 @@ from juryselect import (
     log_jer,
     wrong_count_distribution,
 )
+from juryselect import jer as jer_module
 from juryselect.jer import BLOCK, DIRECT_CONVOLUTION_MAX, _advance, _cba, _convolve_mass, _empty_row, _odd_prefix_tails
 
 from conftest import random_jury_epsilons
@@ -144,15 +145,21 @@ def random_rate(rng):
     return float(rng.choice([1e-6, 1 - 1e-6, rng.uniform(1e-6, 1 - 1e-6)], p=[0.2, 0.2, 0.6]))
 
 
-def random_row(rng):
-    """A random jury's log tail row, built by the reference, and its size
-    and top tail.  Rows whose top passes the size keep -inf tops."""
-    size = int(rng.integers(0, 40))
-    top = int(rng.integers(2, 48))
+def row_of(rng, size, top):
+    """The log tail row, up to tail ``top``, of ``size`` random jurors,
+    built by the reference.  Rows whose top passes the size keep -inf
+    tops."""
     row = _empty_row(top)
     for _ in range(size):
         one_juror_step(row, random_rate(rng))
-    return row, size, top
+    return row
+
+
+def random_row(rng):
+    """A random jury's log tail row, and its size and top tail."""
+    size = int(rng.integers(0, 40))
+    top = int(rng.integers(2, 48))
+    return row_of(rng, size, top), size, top
 
 
 def group_pmf(rates):
@@ -178,6 +185,24 @@ def assert_group_step_matches_one_juror_steps(rng, m, trials):
             one_juror_step(want, e)
         _advance(row, group_pmf(rates), 1, min(size + m, top) + 1)
         assert_rows_close(row, want)
+
+
+def assert_band_step_matches_one_juror_steps(rng, size, top, m, lo):
+    """Advance ``size`` random jurors' row by m more on tails ``lo``
+    through min(size + m, top): the band matches one-juror steps, and the
+    rest of the row keeps its values.  Returns the row before and after,
+    the pmf and the band's end."""
+    before = row_of(rng, size, top)
+    rates = [random_rate(rng) for _ in range(m)]
+    want = before.copy()
+    for e in rates:
+        one_juror_step(want, e)
+    row, q, hi = before.copy(), group_pmf(rates), min(size + m, top) + 1
+    _advance(row, q, lo, hi)
+    assert_rows_close(row[BLOCK + lo : BLOCK + hi], want[BLOCK + lo : BLOCK + hi])
+    assert np.array_equal(row[: BLOCK + lo], before[: BLOCK + lo])
+    assert np.array_equal(row[BLOCK + hi :], before[BLOCK + hi :])
+    return before, row, q, hi
 
 
 class TestAdvance:
@@ -212,6 +237,42 @@ class TestAdvance:
         assert np.array_equal(row[BLOCK + 11 :], before[BLOCK + 11 :])
         assert not np.array_equal(row[BLOCK + 6 : BLOCK + 11], before[BLOCK + 6 : BLOCK + 11])
 
+    @pytest.mark.parametrize("m", [1, 2, BLOCK])
+    def test_top_chunk_past_the_size(self, m):
+        # The top chunk's first tail, T(BLOCK c), is log 0 before the
+        # step; its reference, T(BLOCK c - BLOCK), is not, and depends on
+        # no band: the tails are bit for bit those of a band cut short
+        # anywhere in the chunk.
+        rng = np.random.default_rng(103 + m)
+        sizes = [s for s in range(3 * BLOCK) if (s + m) // BLOCK * BLOCK > s]
+        assert sizes
+        for size in sizes:
+            before, row, q, hi = assert_band_step_matches_one_juror_steps(rng, size, size + m + BLOCK, m, 1)
+            for cut in range((hi - 1) // BLOCK * BLOCK + 1, hi):
+                short = before.copy()
+                _advance(short, q, 1, cut)
+                assert np.array_equal(short[: BLOCK + cut], row[: BLOCK + cut])
+
+    @pytest.mark.parametrize("m", [1, 2, BLOCK])
+    def test_band_starting_inside_a_chunk(self, m):
+        # A band that starts mid-chunk still scales by the chunk's own
+        # reference, below the band, so its tails are the whole row's
+        # bit for bit.
+        rng = np.random.default_rng(107 + m)
+        for lo in (1, 5, 15, 17, 23, 31, 33, 40):
+            before, row, q, hi = assert_band_step_matches_one_juror_steps(rng, 3 * BLOCK, 4 * BLOCK, m, lo)
+            _advance(before, q, 1, hi)
+            assert np.array_equal(row[BLOCK + lo : BLOCK + hi], before[BLOCK + lo : BLOCK + hi])
+
+    @pytest.mark.parametrize("m", [1, 2, BLOCK])
+    def test_window_past_the_row_end(self, m):
+        # The top chunk's inputs reach past the row's last tail, which is
+        # not the last of a chunk, so they come from a padded copy.
+        rng = np.random.default_rng(109 + m)
+        for size in range(0, 3 * BLOCK, 3):
+            if (size + m) % BLOCK != BLOCK - 1:
+                assert_band_step_matches_one_juror_steps(rng, size, size + m, m, 1)
+
     def test_log_jer_matches_mpmath(self):
         # The rate itself, to 1e-13 relative, from a 40-digit recurrence.
         mpmath = pytest.importorskip("mpmath")
@@ -242,6 +303,15 @@ def mpmath_log_tails(eps, digits=60):
     return tails
 
 
+def per_entry_advance(row, q, lo, hi):
+    """The group step with one reference per tail, T(l - m), and m + 1
+    exps per tail: T(l) becomes T(l - m) + log sum_s q[s] exp(T(l - s) -
+    T(l - m))."""
+    m = q.size - 1
+    view = np.ndarray((m + 1, hi - lo), buffer=row, offset=(lo + BLOCK) * 8, strides=(-8, 8))
+    row[lo + BLOCK : hi + BLOCK] = view[m] + np.log(q @ np.exp(view - view[m]))
+
+
 class TestOddPrefixTails:
     """The block scan: reads inside a block, advances at its boundaries."""
 
@@ -267,6 +337,23 @@ class TestOddPrefixTails:
         want = mpmath_log_tails(eps)
         for k, tail in _odd_prefix_tails(eps):
             assert abs(tail - want[k]) <= 1e-13 * max(1.0, abs(want[k]))
+
+    @pytest.mark.parametrize(
+        "eps",
+        [[1e-6] * 3001, [1e-6, 1 - 1e-6] * 1500 + [1e-6], [1e-6] * 1500 + [1 - 1e-6] * 1501],
+        ids=["all-low", "alternating", "low-then-high"],
+    )
+    def test_every_prefix_matches_the_per_entry_step(self, eps, monkeypatch):
+        # Chunk inputs 2 BLOCK - 1 indices from their reference and tails
+        # down to e^-18,661: within 1e-14, relative past 1 in magnitude.
+        # Not 1e-13: a step that adds its reference back after the log,
+        # without dividing by U(l - m), is off by 1.6e-14 on low-then-high.
+        got = list(_odd_prefix_tails(eps))
+        monkeypatch.setattr(jer_module, "_advance", per_entry_advance)
+        want = list(_odd_prefix_tails(eps))
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for (_, tail), (_, ref) in zip(got, want):
+            assert abs(tail - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 class TestConvolve:
