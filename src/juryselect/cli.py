@@ -79,6 +79,8 @@ def _cmd_solve(args) -> None:
         raise ValueError("--budget is required with --model paym")
     if args.model == "altrm" and args.budget is not None:
         raise ValueError("--budget only applies to --model paym")
+    if args.model == "paym" and args.no_pruning:
+        raise ValueError("--no-pruning only applies to --model altrm")
     pool = read_pool_csv(args.input)
     if args.model == "altrm":
         result = solve_altrm(pool, use_pruning=not args.no_pruning)

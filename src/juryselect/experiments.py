@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,63 +54,6 @@ _STRING = ("a string", lambda value: isinstance(value, str))
 _METHODS = (f"a non-empty list out of {', '.join(RANK_METHODS)}", _list_of(RANK_METHODS.__contains__))
 
 
-class _Schema(NamedTuple):
-    """Each parameter's type; a parameter without a default is required."""
-
-    types: dict
-    defaults: dict = {}
-    needs_seeds: bool = True
-
-
-_SCHEMAS = {
-    "altrm-traits": _Schema(
-        {"pool_size": _COUNT, "epsilon_means": _NUMBERS, "epsilon_stddevs": _NUMBERS}
-    ),
-    "altrm-timing": _Schema(
-        {"pool_sizes": _COUNTS, "epsilon_mean": _NUMBER, "epsilon_stddevs": _NUMBERS}
-    ),
-    "paym-traits": _Schema(
-        {
-            "pool_size": _COUNT,
-            "epsilon_mean": _NUMBER,
-            "epsilon_stddev": _NUMBER,
-            "requirement_means": _NUMBERS,
-            "requirement_stddev": _NUMBER,
-            "budgets": _NUMBERS,
-        }
-    ),
-    "paym-effectiveness": _Schema(
-        {
-            "pool_size": _COUNT,
-            "epsilon_mean": _NUMBER,
-            "epsilon_stddevs": _NUMBERS,
-            "requirement_mean": _NUMBER,
-            "requirement_stddev": _NUMBER,
-            "budgets": _NUMBERS,
-        }
-    ),
-    "rank-and-select": _Schema(
-        {
-            "corpus": _STRING,
-            "methods": _METHODS,
-            "budget_fractions": _NUMBERS,
-            "top_k": _COUNT,
-            "damping": _NUMBER,
-            "alpha": _NUMBER,
-            "beta": _NUMBER,
-        },
-        defaults={
-            "top_k": 20,
-            "damping": RankConfig.damping,
-            "alpha": RankConfig.alpha,
-            "beta": RankConfig.beta,
-        },
-        needs_seeds=False,
-    ),
-}
-EXPERIMENT_KINDS = tuple(_SCHEMAS)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment kind, its parameter grid, seeds and output path.
@@ -125,7 +68,7 @@ class ExperimentSpec:
     out: str = "experiment.csv"
 
     def __post_init__(self):
-        schema = _SCHEMAS.get(self.kind)
+        schema = _KINDS.get(self.kind)
         if schema is None:
             raise InputFormatError(
                 f"unknown experiment kind {self.kind!r}; expected one of {', '.join(EXPERIMENT_KINDS)}"
@@ -355,13 +298,68 @@ def _run_rank_and_select(spec: ExperimentSpec):
         }
 
 
-_RUNNERS = {
-    "altrm-traits": _run_altrm_traits,
-    "altrm-timing": _run_altrm_timing,
-    "paym-traits": _run_paym_traits,
-    "paym-effectiveness": _run_paym_effectiveness,
-    "rank-and-select": _run_rank_and_select,
+class _Kind(NamedTuple):
+    """A kind's row generator and each parameter's type; a parameter
+    without a default is required."""
+
+    run: Callable[[ExperimentSpec], Iterator[dict]]
+    types: dict
+    defaults: dict = {}
+    needs_seeds: bool = True
+
+
+_KINDS = {
+    "altrm-traits": _Kind(
+        _run_altrm_traits,
+        {"pool_size": _COUNT, "epsilon_means": _NUMBERS, "epsilon_stddevs": _NUMBERS},
+    ),
+    "altrm-timing": _Kind(
+        _run_altrm_timing,
+        {"pool_sizes": _COUNTS, "epsilon_mean": _NUMBER, "epsilon_stddevs": _NUMBERS},
+    ),
+    "paym-traits": _Kind(
+        _run_paym_traits,
+        {
+            "pool_size": _COUNT,
+            "epsilon_mean": _NUMBER,
+            "epsilon_stddev": _NUMBER,
+            "requirement_means": _NUMBERS,
+            "requirement_stddev": _NUMBER,
+            "budgets": _NUMBERS,
+        },
+    ),
+    "paym-effectiveness": _Kind(
+        _run_paym_effectiveness,
+        {
+            "pool_size": _COUNT,
+            "epsilon_mean": _NUMBER,
+            "epsilon_stddevs": _NUMBERS,
+            "requirement_mean": _NUMBER,
+            "requirement_stddev": _NUMBER,
+            "budgets": _NUMBERS,
+        },
+    ),
+    "rank-and-select": _Kind(
+        _run_rank_and_select,
+        {
+            "corpus": _STRING,
+            "methods": _METHODS,
+            "budget_fractions": _NUMBERS,
+            "top_k": _COUNT,
+            "damping": _NUMBER,
+            "alpha": _NUMBER,
+            "beta": _NUMBER,
+        },
+        defaults={
+            "top_k": 20,
+            "damping": RankConfig.damping,
+            "alpha": RankConfig.alpha,
+            "beta": RankConfig.beta,
+        },
+        needs_seeds=False,
+    ),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(spec: ExperimentSpec, out: str | Path | None = None) -> Path:
@@ -370,7 +368,7 @@ def run_experiment(spec: ExperimentSpec, out: str | Path | None = None) -> Path:
     The columns are the first row's keys; a valid spec has at least one
     grid point, and every row lists the same keys in the same order.
     """
-    rows = list(_RUNNERS[spec.kind](spec))
+    rows = list(_KINDS[spec.kind].run(spec))
     target = Path(out) if out is not None else Path(spec.out)
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", encoding="utf-8", newline="") as handle:

@@ -12,20 +12,20 @@ threshold (n+1)/2.  Three routes to the same tail probability live here:
   convolution (FFT above a size cutoff).
 
 The log tail row of T(l) = log P(W >= l) is the one tail kernel
-(``_empty_row``, ``_advance``): it absorbs a group of jurors per step,
-given the group's wrong-count pmf.  ``_odd_prefix_tails`` runs it over
-the odd prefixes of a list of error rates, BLOCK = 16 jurors per step,
-and reads the eight prefixes inside each block off the block-start row
-with the pmfs of the block's first pairs, all built at once; it advances
-only the band of tails a later read can reach.  ``log_jer`` takes its
-last tail, ``solve_altrm`` reads every prefix, and ``solve_paym_greedy``
-keeps a block-start row and prices each trial pair by the same read in
-O(1).  A read scales each tail by the largest one it sums, and a step
-scales each aligned chunk of BLOCK tails by the largest tail its inputs
-hold, two ``exp``s per tail; both add only positive terms, with
-vectorised ``exp`` and ``log``, so the row stays exact to relative float
-precision far below the float floor (1e-308), where very reliable
-juries' error rates live.
+(``_tail_row``, ``_band``, ``_advance``): both growers hold one, step it
+by a group of BLOCK = 16 jurors, given the group's wrong-count pmf, and
+update only the band of tails a later read can reach, by one rule.
+``_odd_prefix_tails`` runs it over the odd prefixes of a list of error
+rates and reads the eight prefixes inside each block off the block-start
+row with the pmfs of the block's first pairs, all built at once.
+``log_jer`` takes its last tail, ``solve_altrm`` reads every prefix, and
+``solve_paym_greedy`` keeps a block-start row and prices each trial pair
+by the same read in O(1).  A read scales each tail by the largest one it
+sums, and a step scales each aligned chunk of BLOCK tails by the largest
+tail its inputs hold, two ``exp``s per tail; both add only positive
+terms, with vectorised ``exp`` and ``log``, so the row stays exact to
+relative float precision far below the float floor (1e-308), where very
+reliable juries' error rates live.
 
 ``jer_lower_bound`` gives a Paley-Zygmund style lower bound on the tail
 from the first two moments of the wrong count, in O(n).  No solver uses
@@ -249,13 +249,26 @@ def _subset_table(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, count
 
 
-def _empty_row(top: int) -> np.ndarray:
-    """The log tail row of an empty jury: entry i holds T(i - BLOCK) =
-    log P(W >= i - BLOCK) for tails -BLOCK through ``top``, so every tail
-    up to T(0) is 0 and every later one is log 0."""
-    row = np.full(BLOCK + top + 1, -np.inf)
+def _tail_row(first: float, last: int) -> np.ndarray:
+    """The log tail row of one juror of error rate ``first``: entry i holds
+    T(i - BLOCK) = log P(W >= i - BLOCK) for tails -BLOCK through ``last``
+    + BLOCK, ``last`` the highest threshold any read weighs.  The BLOCK
+    spare tails stay log 0 and hold the top chunk's inputs of a step."""
+    row = np.full(2 * BLOCK + last + 1, -np.inf)
     row[: BLOCK + 1] = 0.0
+    row[BLOCK + 1] = math.log(first)
     return row
+
+
+def _band(size: int, last: int) -> tuple[int, int]:
+    """Tails lo .. hi - 1 of a step to ``size`` jurors on a :func:`_tail_row`
+    of top ``last``: max(1, size - last + 1), rounded down to a multiple
+    of BLOCK, through min(size, last).  Tails above the size are log 0; a
+    read of k + 2j <= 2 last jurors off the row of k weighs tails (k + 1)
+    / 2 - j >= k - last + 1 through (k + 1) / 2 + j <= last; the rounding
+    keeps the tails a step scales by, BLOCK below each chunk, in the band
+    of the step before, BLOCK jurors back."""
+    return max(1, (size - last + 1) // BLOCK * BLOCK), min(size, last) + 1
 
 
 def _advance(row: np.ndarray, q: np.ndarray, lo: int, hi: int) -> None:
@@ -282,23 +295,18 @@ def _advance(row: np.ndarray, q: np.ndarray, lo: int, hi: int) -> None:
     and log run over the band only, as a chunk's other entries may be 0,
     and entries outside the band keep their old values.  ``lo`` is at
     least 1 and m at most BLOCK; tails from lo rounded down to a multiple
-    of BLOCK, less BLOCK, must be current, and the last tail updated must
-    not pass the jury's new size.
+    of BLOCK, less BLOCK, must be current, the last tail updated must not
+    pass the jury's new size, and the row must hold the top chunk's inputs,
+    as a :func:`_tail_row` does for a :func:`_band`.
     """
     m = q.size - 1
     start, stop = lo - lo % BLOCK, hi - 1 - (hi - 1) % BLOCK + BLOCK
     chunks = (stop - start) // BLOCK
     refs = row[start : stop - BLOCK + 1 : BLOCK]
-    # Inputs T(start - BLOCK) through T(stop - 1), row entries start
-    # through stop + BLOCK - 1; past the row's end they are log 0.
-    buffer, offset = row, start * 8
-    if stop + BLOCK > row.size:
-        buffer, offset = np.full(stop + BLOCK - start, -np.inf), 0
-        buffer[: row.size - start] = row[start:]
     # u[i, c] = U(BLOCK c - BLOCK + i) of chunk c, in C order, and
     # terms[j, s, c] = U(BLOCK c + j - s): the sum over s runs along
     # contiguous chunks, and a column-major ravel puts tails in order.
-    inputs = np.ndarray((2 * BLOCK, chunks), buffer=buffer, offset=offset, strides=(8, BLOCK * 8))
+    inputs = np.ndarray((2 * BLOCK, chunks), buffer=row, offset=start * 8, strides=(8, BLOCK * 8))
     u = np.subtract(inputs, refs, order="C")
     np.exp(u, out=u)
     terms = np.ndarray(
@@ -319,23 +327,23 @@ def _pair_weights(a, b, ca, cb):
 
 
 def _pmf_table(steps: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows j = 0 .. steps of wrong-count pmfs of j pairs, one per block,
-    each with two leading zeros, so entry [j, b, 2 + i] holds Q_j[i]; row 0
-    holds the empty group.  Also returns the table's shifted view, whose
-    entry [j, b, i, s] is Q_j[i - s] for i = 0 .. BLOCK and s = 0 .. 2."""
-    pmfs = np.zeros((steps + 1, blocks, BLOCK + 3))
-    pmfs[0, :, 2] = 1.0
+    """Rows j = 0 .. steps of wrong-count pmfs of j pairs, one per block:
+    entry [j, b, i] holds Q_j[i], i = 0 .. BLOCK; row 0 holds the empty
+    group.  Also returns the shifted view, entry [j, b, i, s] = Q_j[i - s]
+    for s = 0 .. 2, which reads two zeros kept before each pmf."""
+    padded = np.zeros((steps + 1, blocks, BLOCK + 3))
+    padded[0, :, 2] = 1.0
     shifted = np.ndarray(
-        (steps + 1, blocks, BLOCK + 1, 3), buffer=pmfs, offset=16, strides=pmfs.strides + (-8,)
+        (steps + 1, blocks, BLOCK + 1, 3), buffer=padded, offset=16, strides=padded.strides + (-8,)
     )
-    return pmfs, shifted
+    return padded[..., 2:], shifted
 
 
 def _absorb_pair(pmfs: np.ndarray, shifted: np.ndarray, j: int, weights: np.ndarray) -> None:
     """Row j + 1 of a :func:`_pmf_table` becomes row j with one more pair
     absorbed, whose :func:`_pair_weights` are ``weights``, shape
     (blocks, 3, 1): Q_{j+1}[i] = sum_s Q_j[i - s] weights[s], one matmul."""
-    np.matmul(shifted[j], weights, out=pmfs[j + 1, :, 2:, None])
+    np.matmul(shifted[j], weights, out=pmfs[j + 1, ..., None])
 
 
 def _read_terms(row: np.ndarray, t: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -394,33 +402,25 @@ def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
     """(k, log P(W_k >= (k + 1) / 2)) for each odd prefix k of ``eps``, an
     odd number of error rates, in order of k.
 
-    One log tail row holds the first juror, then absorbs BLOCK jurors per
-    :func:`_advance`.  The odd prefixes of a block, k + 2j for j = 0 ..
-    BLOCK / 2 - 1 from the block-start prefix k, are read off the row of
-    k in one batch, each with the pmf of the block's first j pairs
+    One :func:`_tail_row` holds the first juror, then absorbs BLOCK
+    jurors per :func:`_advance`.  The odd prefixes of a block, k + 2j for
+    j = 0 .. BLOCK / 2 - 1 from the block-start prefix k, are read off the
+    row of k in one batch, each with the pmf of the block's first j pairs
     (:func:`_read_terms`; read 0 is the row's own tail), all pmfs built
-    at once (:func:`_block_pmfs`).  The advance to prefix k' = k + BLOCK
-    updates only the live band, tails max(1, k' - last + 1) through
-    min(k', last), with last = (len(eps) + 1) // 2 the last prefix's
-    threshold: tails above the size are log 0, and the reads and advances
-    of later blocks reach no tail below the band.  The band's start is
-    rounded down to a multiple of BLOCK, so that the tails a step scales
-    by, BLOCK below the first of each chunk, were in the band of the step
-    before.  The row holds BLOCK log-0 tails past ``last``, so no step's
-    inputs run past its end.  The last block needs no advance.
+    at once (:func:`_block_pmfs`).  The advance to prefix k + BLOCK
+    updates only its :func:`_band`, with last = (len(eps) + 1) // 2 the
+    last prefix's threshold.  The last block needs no advance.
     """
     n = len(eps)
     last = (n + 1) // 2
-    row = _empty_row(last + BLOCK)
-    row[BLOCK + 1] = math.log(eps[0])
+    row = _tail_row(eps[0], last)
     pmfs = _block_pmfs(eps)
     for b, k in enumerate(range(1, n + 1, BLOCK)):
         reads = min(_PAIRS, (n - k) // 2 + 1)
-        tails = _read(*_read_terms(row, (k + 1) // 2, reads), pmfs[:reads, b, 2:])
+        tails = _read(*_read_terms(row, (k + 1) // 2, reads), pmfs[:reads, b])
         yield from zip(range(k, n + 1, 2), tails.tolist())
         if k + BLOCK <= n:
-            lo = max(1, (k + BLOCK - last + 1) // BLOCK * BLOCK)
-            _advance(row, pmfs[_PAIRS, b, 2:], lo, min(k + BLOCK, last) + 1)
+            _advance(row, pmfs[_PAIRS, b], *_band(k + BLOCK, last))
 
 
 def log_jer(jury: JuryLike) -> float:

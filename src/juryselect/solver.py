@@ -16,7 +16,7 @@ Two cost models:
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so both run
 the log tail row of :mod:`juryselect.jer`, advanced BLOCK jurors at a
-time, and read the juries in between off its block-start row:
+time on one band, and read the juries in between off its block-start row:
 ``solve_altrm`` through the odd-prefix scan that ``log_jer`` also runs,
 ``solve_paym_greedy`` by the same read, priced in O(1) per trial pair.
 """
@@ -33,18 +33,18 @@ import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
 from .jer import (
-    BLOCK,
     _PAIRS,
     Juror,
     Jury,
     _absorb_pair,
     _advance,
-    _empty_row,
+    _band,
     _odd_prefix_tails,
     _pair_weights,
     _pmf_table,
     _read,
     _read_terms,
+    _tail_row,
 )
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
@@ -218,13 +218,14 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     when it still fits the budget and does not worsen the jury error rate;
     a pair still buffered when the scan ends is discarded.
 
-    The jury's log tail row stays at its last BLOCK-juror boundary, as in
-    the odd-prefix scan (``jer._odd_prefix_tails``), and a trial pair is
-    priced by the scan's read of the jury it would make, in O(1) float
-    arithmetic: three dot products of the read's exp row with the pmf of
-    the pairs admitted since the boundary are taken once per admission.
-    An admitted pair joins that pmf, and every BLOCK / 2 pairs the row
-    advances by it.  The result's ``jer`` is one read of the final jury
+    The jury's log tail row, topped at the pool's highest threshold, stays
+    at its last BLOCK-juror boundary, as in the odd-prefix scan
+    (``jer._odd_prefix_tails``), and a trial pair is priced by the scan's
+    read of the jury it would make, in O(1) float arithmetic: three dot
+    products of the read's exp row with the pmf of the pairs admitted
+    since the boundary are taken once per admission.  An admitted pair
+    joins that pmf, and every BLOCK / 2 pairs the row advances by it on
+    the scan's band.  The result's ``jer`` is one read of the final jury
     off that row, the scan's read 0 .. BLOCK / 2 - 1 of it, so ``jer_dp``
     of its jury gives it bit for bit.
     """
@@ -240,13 +241,12 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
 
     selected = [order[start]]
     spent = order[start].requirement
-    # The row holds every tail a read off it reaches, up to T(t + _PAIRS)
-    # for t the boundary jury's threshold.  pmfs row j holds the first j
-    # pairs admitted since the boundary; a row is rewritten whole when its
-    # pair is admitted, so the table serves every block.
-    top = len(order) // 2 + _PAIRS + 1
-    row = _empty_row(top)
-    row[BLOCK + 1] = current = math.log(order[start].epsilon)
+    current = math.log(order[start].epsilon)
+    # No jury passes the pool's size.  pmfs row j holds the first j pairs
+    # admitted since the boundary; a row is rewritten whole when its pair
+    # is admitted, so the table serves every block.
+    last = (len(order) + 1) // 2
+    row = _tail_row(order[start].epsilon, last)
     pmfs, shifted = _pmf_table(_PAIRS, 1)
     terms, base = _read_terms(row, 1, _PAIRS + 1)
     admitted = 0
@@ -280,7 +280,7 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
                 _absorb_pair(pmfs, shifted, admitted, np.array(weights).reshape(1, 3, 1))
                 admitted += 1
                 if admitted == _PAIRS:
-                    _advance(row, pmfs[_PAIRS, 0, 2:], 1, min(len(selected), top) + 1)
+                    _advance(row, pmfs[_PAIRS, 0], *_band(len(selected), last))
                     terms, base = _read_terms(row, (len(selected) + 1) // 2, _PAIRS + 1)
                     admitted = 0
                 low, (x0, x1, x2) = price()
@@ -288,7 +288,7 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     # The scan's read of this jury, so jer_dp gives the result's jer bit
     # for bit.
     read = slice(admitted, admitted + 1)
-    current = float(_read(terms[read], base[read], pmfs[admitted, :, 2:])[0])
+    current = float(_read(terms[read], base[read], pmfs[admitted])[0])
     jury = Jury(tuple(selected))
     return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 

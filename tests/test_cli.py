@@ -307,6 +307,10 @@ class TestCmdSolve:
     def test_altrm_with_budget_exits_2(self, fig1_csv):
         assert main(["solve", str(fig1_csv), "--model", "altrm", "--budget", "1"]) == 2
 
+    def test_paym_with_no_pruning_exits_2(self, paym_csv, capsys):
+        assert main(["solve", str(paym_csv), "--model", "paym", "--budget", "0.3", "--no-pruning"]) == 2
+        assert capsys.readouterr().err == "error: --no-pruning only applies to --model altrm\n"
+
     def test_bad_pool_exits_2(self, tmp_path):
         path = write_lines(tmp_path / "empty.csv", "id,epsilon,requirement")
         assert main(["solve", str(path), "--model", "altrm"]) == 2

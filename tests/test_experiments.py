@@ -139,6 +139,15 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_file(path)
         assert spec.out == f"{path.stem}.csv"
 
+    def test_demo_rank_and_select_runs_on_its_shipped_corpus(self, tmp_path):
+        # The spec names corpus.ndjson next to it: two methods by four
+        # budget fractions.
+        (path,) = [path for path in DEMO_SPECS if path.stem == "rank_and_select"]
+        rows = read_rows(run_experiment(ExperimentSpec.from_file(path), tmp_path / "out.csv"))
+        assert [(r["method"], float(r["budget_fraction"])) for r in rows] == [
+            (method, fraction) for method in ("hits", "pagerank") for fraction in (0.001, 0.01, 0.1, 0.2)
+        ]
+
     @pytest.mark.parametrize(
         "obj, message", [([], "JSON object"), ({"kind": 3}, "string 'kind'")], ids=["list", "numeric-kind"]
     )

@@ -31,7 +31,7 @@ from juryselect import (
     wrong_count_distribution,
 )
 from juryselect import jer as jer_module
-from juryselect.jer import BLOCK, DIRECT_CONVOLUTION_MAX, _advance, _cba, _convolve_mass, _empty_row, _odd_prefix_tails
+from juryselect.jer import BLOCK, DIRECT_CONVOLUTION_MAX, _advance, _cba, _convolve_mass, _odd_prefix_tails, _tail_row
 
 from conftest import random_jury_epsilons
 
@@ -146,10 +146,11 @@ def random_rate(rng):
 
 
 def row_of(rng, size, top):
-    """The log tail row, up to tail ``top``, of ``size`` random jurors,
-    built by the reference.  Rows whose top passes the size keep -inf
-    tops."""
-    row = _empty_row(top)
+    """The log tail row of ``size`` random jurors, built by the reference
+    from the empty jury's row, laid out as ``_tail_row(e, top)``: tails
+    -BLOCK through ``top`` + BLOCK.  Tails above the size stay -inf."""
+    row = np.full(2 * BLOCK + top + 1, -np.inf)
+    row[: BLOCK + 1] = 0.0
     for _ in range(size):
         one_juror_step(row, random_rate(rng))
     return row
@@ -160,6 +161,13 @@ def random_row(rng):
     size = int(rng.integers(0, 40))
     top = int(rng.integers(2, 48))
     return row_of(rng, size, top), size, top
+
+
+def to_top(row):
+    """Tails -BLOCK through the row's top: its BLOCK spare tails past the
+    top are inputs of a step, which the reference updates and a step
+    leaves alone."""
+    return row[:-BLOCK]
 
 
 def group_pmf(rates):
@@ -184,7 +192,7 @@ def assert_group_step_matches_one_juror_steps(rng, m, trials):
         for e in rates:
             one_juror_step(want, e)
         _advance(row, group_pmf(rates), 1, min(size + m, top) + 1)
-        assert_rows_close(row, want)
+        assert_rows_close(to_top(row), to_top(want))
 
 
 def assert_band_step_matches_one_juror_steps(rng, size, top, m, lo):
@@ -215,6 +223,13 @@ class TestAdvance:
     def test_group_step_matches_one_juror_steps(self, m):
         assert_group_step_matches_one_juror_steps(np.random.default_rng(79 + m), m, 300)
 
+    def test_tail_row_holds_one_juror(self):
+        for top in (1, 2, BLOCK, 3 * BLOCK + 5):
+            for e in (1e-6, 0.3, 1 - 1e-6):
+                want = row_of(np.random.default_rng(0), 0, top)
+                one_juror_step(want, e)
+                assert np.array_equal(_tail_row(e, top), want)
+
     def test_pair_with_zero_absorbs_one_juror(self):
         # A pair whose second rate is 0 weighs its top term by 0.
         rng = np.random.default_rng(89)
@@ -224,7 +239,7 @@ class TestAdvance:
             want = row.copy()
             one_juror_step(want, a)
             _advance(row, np.array([1.0 - a, a, 0.0]), 1, min(size + 1, top) + 1)
-            assert_rows_close(row, want)
+            assert_rows_close(to_top(row), to_top(want))
 
     def test_band_leaves_the_rest_of_the_row(self):
         rng = np.random.default_rng(97)
@@ -266,12 +281,13 @@ class TestAdvance:
 
     @pytest.mark.parametrize("m", [1, 2, BLOCK])
     def test_window_past_the_row_end(self, m):
-        # The top chunk's inputs reach past the row's last tail, which is
-        # not the last of a chunk, so they come from a padded copy.
+        # The top chunk's inputs reach past the row's top tail, which is
+        # not the last of a chunk, into its spare tails; they stay log 0.
         rng = np.random.default_rng(109 + m)
         for size in range(0, 3 * BLOCK, 3):
             if (size + m) % BLOCK != BLOCK - 1:
-                assert_band_step_matches_one_juror_steps(rng, size, size + m, m, 1)
+                _, row, _, _ = assert_band_step_matches_one_juror_steps(rng, size, size + m, m, 1)
+                assert np.all(np.isneginf(row[-BLOCK:]))
 
     def test_log_jer_matches_mpmath(self):
         # The rate itself, to 1e-13 relative, from a 40-digit recurrence.

@@ -163,12 +163,12 @@ class TestSolveAltrm:
 
 
 def whole_row_advance(row, q, lo, hi):
-    """The group step on every tail up to the jury's new size, whatever the
-    band it is given; the size is read off the row, whose tails are finite
-    up to it."""
-    top = row.size - jer.BLOCK - 1
+    """The group step on every tail up to the jury's new size or the row's
+    top, whatever the band it is given; the size is read off the row,
+    whose tails are finite up to it, and its spare tails are not stepped."""
+    last = row.size - 2 * jer.BLOCK - 1
     size = np.count_nonzero(row[jer.BLOCK + 1 :] > -np.inf)
-    group_advance(row, q, 1, min(size + q.size - 1, top) + 1)
+    group_advance(row, q, 1, min(size + q.size - 1, last) + 1)
 
 
 def counting_advance(monkeypatch):
@@ -212,11 +212,25 @@ class TestLiveBand:
             gen_pool(SynthConfig(2000, 0.3, 0.07, requirement_mean=0.001, requirement_stddev=0.001, seed=5)),
         ]
 
-        def results():
-            picked = [(solve_altrm(pool, use_pruning=False), solve_paym_greedy(pool, 0.5)) for pool in pools]
-            return picked, [log_jer(result.jury) for pair in picked for result in pair]
+        # At budget 100 the greedy grows the last pool's jury to about
+        # 1,900 jurors, so its band starts above tail 1.
+        paid = [(pool, 0.5) for pool in pools] + [(pools[-1], 100)]
 
-        banded = results()
+        def results():
+            picked = [solve_altrm(pool, use_pruning=False) for pool in pools]
+            picked += [solve_paym_greedy(pool, budget) for pool, budget in paid]
+            return picked, [log_jer(result.jury) for result in picked]
+
+        starts = []
+
+        def recording_advance(row, q, lo, hi):
+            starts.append(lo)
+            group_advance(row, q, lo, hi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_advance", recording_advance)
+            banded = results()
+        assert max(starts) > 1
         # The scan and log_jer look the kernel up in jer, the greedy in solver.
         monkeypatch.setattr(jer, "_advance", whole_row_advance)
         monkeypatch.setattr(solver, "_advance", whole_row_advance)
