@@ -10,11 +10,7 @@ then prints a few headline numbers from each CSV.
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from juryselect import ExperimentSpec, run_experiment
-from juryselect.io import write_corpus
-from juryselect.estimate import TweetRecord
 
 out_dir = Path("demo_results")
 out_dir.mkdir(exist_ok=True)
@@ -87,21 +83,8 @@ rows = show(run_experiment(spec), "greedy vs enumeration")
 matches = sum(float(r["jer_greedy"]) - float(r["jer_oracle"]) <= 1e-9 for r in rows)
 print(f"  greedy matched the optimum on {matches}/{len(rows)} budgets")
 
-# rank-and-select needs a corpus; synthesize one next to the results.
-rng = np.random.default_rng(5)
-users = [f"user{i:02d}" for i in range(30)]
-weights = 1.0 / np.arange(1, 31)
-weights /= weights.sum()
-records = [
-    TweetRecord(u, "hello", 1_200_000_000 + int(rng.integers(0, 3 * 10**8))) for u in users
-]
-for _ in range(250):
-    author = users[int(rng.integers(30))]
-    target = users[int(rng.choice(30, p=weights))]
-    if author != target:
-        records.append(TweetRecord(author, f"RT @{target} well said"))
-corpus = out_dir / "corpus.ndjson"
-write_corpus(corpus, records)
+# rank-and-select ranks the 30-user corpus shipped beside the full-size specs.
+corpus = Path(__file__).resolve().parent / "experiment_specs" / "corpus.ndjson"
 
 spec = ExperimentSpec(
     "rank-and-select",

@@ -27,9 +27,10 @@ from .estimate import (
     build_graph,
     hits,
     pagerank,
+    rank_candidates,
     scores_to_error_rates,
 )
-from .experiments import ExperimentSpec, rank_candidates, run_experiment
+from .experiments import ExperimentSpec, run_experiment
 from .jer import (
     BoundDiagnostics,
     Juror,

@@ -25,8 +25,8 @@ from .errors import (
     NoAffordableJuror,
     SizeLimitExceeded,
 )
-from .estimate import RankConfig
-from .experiments import RANK_METHODS, ExperimentSpec, rank_candidates, run_experiment
+from .estimate import RANK_METHODS, RankConfig, rank_candidates
+from .experiments import ExperimentSpec, run_experiment
 from .io import read_jurors_csv, read_pool_csv, write_pool_csv, write_scores_csv
 from .jer import Jury, jer_cba, jer_naive, log_jer
 from .solver import solve_altrm, solve_paym_greedy

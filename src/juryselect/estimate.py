@@ -1,10 +1,10 @@
 """Per-user error rates and payment requirements from a micro-blog corpus.
 
-Pipeline: parse forwarding chains out of tweet text, accumulate them into
-a directed user graph, rank the graph (HITS authority or PageRank), then
-squash scores into error rates with ``scores_to_error_rates``.  Payment
-requirements come separately from account ages via
-``ages_to_requirements``.
+``rank_candidates`` is the pipeline's entry point: parse forwarding chains
+out of tweet text, accumulate them into a directed user graph, rank it
+(HITS authority or PageRank), squash scores into error rates
+(``scores_to_error_rates``), and turn account ages into payment
+requirements (``ages_to_requirements``).
 """
 
 from __future__ import annotations
@@ -12,24 +12,20 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Union
+from pathlib import Path
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import DegenerateScores, EmptyGraph
+from .errors import DegenerateScores, EmptyGraph, InputFormatError
+from .io import TweetRecord, read_corpus
 from .jer import clamp_epsilon
+
+RANK_METHODS = ("hits", "pagerank")
 
 # Handles are runs of ASCII letters, digits and underscore after the
 # forwarding marker; matching is case-sensitive.
 _RETWEET_MARKER = re.compile(r"RT @(\w+)", re.ASCII)
-
-
-class TweetRecord(NamedTuple):
-    """One corpus record: who posted what, and optionally when they registered."""
-
-    author: str
-    content: str
-    author_created_at: float | None = None
 
 
 class UserGraph:
@@ -188,14 +184,11 @@ def hits(graph: UserGraph, config: RankConfig = RankConfig()) -> ScoreMap:
     authority = np.ones(n)
     hub = np.ones(n)
     for _ in range(config.max_iterations):
+        # Not np.linalg.norm: its BLAS dot sums in an order set by the thread count.
         new_authority = _scatter(dst, hub[src], n)
-        norm = np.linalg.norm(new_authority)
-        if norm > 0.0:
-            new_authority /= norm
+        new_authority /= math.sqrt((new_authority * new_authority).sum()) or 1.0
         new_hub = _scatter(src, new_authority[dst], n)
-        norm = np.linalg.norm(new_hub)
-        if norm > 0.0:
-            new_hub /= norm
+        new_hub /= math.sqrt((new_hub * new_hub).sum()) or 1.0
         moved = np.abs(new_authority - authority).sum() + np.abs(new_hub - hub).sum()
         authority, hub = new_authority, new_hub
         if moved <= config.tolerance:
@@ -277,3 +270,53 @@ def ages_to_requirements(ages: Mapping[str, float]) -> dict[str, float]:
         return {user: 0.0 for user in ages}
     span = high - low
     return {user: (float(age) - low) / span for user, age in ages.items()}
+
+
+def rank_candidates(
+    corpus_path: str | Path,
+    method: str,
+    config: RankConfig = RankConfig(),
+    top_k: int | None = None,
+) -> list[dict]:
+    """Rank a corpus and return per-user rows sorted by descending score.
+
+    Each row carries username, score, hub_score (None without a hub side),
+    the squashed error rate and the age-derived payment requirement (0 for
+    users whose registration date never appears in the corpus).  With
+    ``top_k`` only the first ``top_k`` rows are built; error rates are
+    still scaled by the range of every user's score.
+    """
+    if method not in RANK_METHODS:
+        raise InputFormatError(f"unknown ranking method {method!r}")
+    created: dict[str, float] = {}
+
+    def records_noting_registration():
+        # Folds the earliest registration time per author into the one
+        # pass that builds the graph.
+        for record in read_corpus(corpus_path):
+            stamp = record.author_created_at
+            if stamp is not None and stamp < created.get(record.author, math.inf):
+                created[record.author] = stamp
+            yield record
+
+    graph = build_graph(records_noting_registration())
+    ranked = hits(graph, config) if method == "hits" else pagerank(graph, config)
+    # Scores are keyed in sorted-name order, so a stable sort on the
+    # negated score breaks ties by name.
+    users = list(ranked.scores)
+    values = np.fromiter(ranked.scores.values(), float, len(users))
+    order = np.argsort(-values, kind="stable")[:top_k]
+    epsilons = _squash(values, order, config)
+    newest = max(created.values(), default=0.0)
+    requirements = ages_to_requirements({user: newest - stamp for user, stamp in created.items()})
+
+    return [
+        {
+            "username": user,
+            "score": ranked.scores[user],
+            "hub_score": None if ranked.hubs is None else ranked.hubs[user],
+            "epsilon": epsilon,
+            "requirement": requirements.get(user, 0.0),
+        }
+        for user, epsilon in zip(map(users.__getitem__, order.tolist()), epsilons)
+    ]

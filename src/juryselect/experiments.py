@@ -2,8 +2,9 @@
 
 A spec file (JSON) names one experiment kind plus its parameter grid;
 running it produces one CSV whose columns are the axes of the matching
-figure-style plot.  Grid points are independent solver calls; results are
-always written in grid order.
+figure-style plot.  Grid points are independent solver calls, written in
+grid order; ``rank-and-select`` takes its candidates from the corpus
+pipeline's entry point, ``estimate.rank_candidates``.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
 from .errors import InputFormatError
-from .estimate import RankConfig, _squash, ages_to_requirements, build_graph, hits, pagerank
-from .io import read_corpus
+from .estimate import RANK_METHODS, RankConfig, rank_candidates
 from .jer import Juror
 from .solver import ORACLE_SIZE_MAX, compare_results, solve_altrm, solve_oracle, solve_paym_greedy
 from .synth import SynthConfig, gen_pool
-
-RANK_METHODS = ("hits", "pagerank")
 
 
 def _is_number(value) -> bool:
@@ -109,6 +105,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentSpec":
+        """Load a spec file.  A relative ``corpus`` resolves against the
+        spec's directory; a relative ``out`` stays relative to the working
+        directory, where ``run_experiment`` writes it."""
         path = Path(path)
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
@@ -211,56 +210,6 @@ def _run_paym_effectiveness(spec: ExperimentSpec):
             "precision": comparison.precision,
             "recall": comparison.recall,
         }
-
-
-def rank_candidates(
-    corpus_path: str | Path,
-    method: str,
-    config: RankConfig = RankConfig(),
-    top_k: int | None = None,
-) -> list[dict]:
-    """Rank a corpus and return per-user rows sorted by descending score.
-
-    Each row carries username, score, hub_score (None without a hub side),
-    the squashed error rate and the age-derived payment requirement (0 for
-    users whose registration date never appears in the corpus).  With
-    ``top_k`` only the first ``top_k`` rows are built; error rates are
-    still scaled by the range of every user's score.
-    """
-    if method not in RANK_METHODS:
-        raise InputFormatError(f"unknown ranking method {method!r}")
-    created: dict[str, float] = {}
-
-    def records_noting_registration():
-        # Folds the earliest registration time per author into the one
-        # pass that builds the graph.
-        for record in read_corpus(corpus_path):
-            stamp = record.author_created_at
-            if stamp is not None and stamp < created.get(record.author, math.inf):
-                created[record.author] = stamp
-            yield record
-
-    graph = build_graph(records_noting_registration())
-    ranked = hits(graph, config) if method == "hits" else pagerank(graph, config)
-    # Scores are keyed in sorted-name order, so a stable sort on the
-    # negated score breaks ties by name.
-    users = list(ranked.scores)
-    values = np.fromiter(ranked.scores.values(), float, len(users))
-    order = np.argsort(-values, kind="stable")[:top_k]
-    epsilons = _squash(values, order, config)
-    newest = max(created.values(), default=0.0)
-    requirements = ages_to_requirements({user: newest - stamp for user, stamp in created.items()})
-
-    return [
-        {
-            "username": user,
-            "score": ranked.scores[user],
-            "hub_score": None if ranked.hubs is None else ranked.hubs[user],
-            "epsilon": epsilon,
-            "requirement": requirements.get(user, 0.0),
-        }
-        for user, epsilon in zip(map(users.__getitem__, order.tolist()), epsilons)
-    ]
 
 
 def _run_rank_and_select(spec: ExperimentSpec):

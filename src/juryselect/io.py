@@ -14,15 +14,22 @@ import json
 import math
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusError, InputFormatError
-from .estimate import TweetRecord
 from .jer import Juror
 from .solver import CandidatePool
 
 POOL_HEADER = ("id", "epsilon", "requirement")
 SCORE_HEADER = ("username", "score", "hub_score", "epsilon", "requirement")
+
+
+class TweetRecord(NamedTuple):
+    """One corpus record: who posted what, and optionally when they registered."""
+
+    author: str
+    content: str
+    author_created_at: float | None = None
 
 
 def read_jurors_csv(path: str | Path) -> list[Juror]:

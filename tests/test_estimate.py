@@ -5,7 +5,11 @@ stationary linear systems directly (exact rationals for PageRank's star:
 peripheral 10/47, center 27/47 at damping 0.85).
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +199,41 @@ class TestRankConfig:
             RankConfig(**{field: value})
 
 
+# Ranks a 30,000-user graph whose forwards follow a Zipf law over the
+# users, as in a real corpus, and prints a digest of every score's bits.
+_HITS_BITS = """
+import hashlib
+import numpy as np
+from juryselect import UserGraph, hits
+rng = np.random.default_rng(7)
+n, m = 30_000, 90_000
+weights = 1.0 / np.arange(1, n + 1) ** 1.1
+src = rng.integers(0, n, m)
+dst = rng.permutation(n)[rng.choice(n, m, p=weights / weights.sum())]
+names = [f"u{i}" for i in range(n)]
+ranked = hits(UserGraph(names, zip(map(names.__getitem__, src.tolist()), map(names.__getitem__, dst.tolist()))))
+print(hashlib.sha256(np.array([list(ranked.scores.values()), list(ranked.hubs.values())]).tobytes()).hexdigest())
+"""
+
+
 class TestHits:
+    def test_scores_do_not_depend_on_blas_threads(self):
+        # BLAS may split a long dot product between threads, which changes
+        # the order of its additions and so the scores' last bits.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", _HITS_BITS],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(digests) == 1
+
     def test_two_sources_one_sink(self):
         scores = hits(graph_of(("u", "v"), ("w", "v")))
         assert scores.scores["v"] == pytest.approx(1.0, abs=1e-9)

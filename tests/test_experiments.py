@@ -134,6 +134,32 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_file(spec_path)
         assert spec.params["corpus"] == str(corpus)
 
+    def test_relative_out_lands_under_the_working_directory(self, tmp_path, monkeypatch):
+        # Unlike a relative corpus, out does not resolve against the spec's
+        # directory; an absolute corpus is kept as written.
+        corpus = synthetic_corpus(tmp_path / "c.ndjson", users=8, tweets=20)
+        (tmp_path / "specs").mkdir()
+        (tmp_path / "work").mkdir()
+        spec_path = tmp_path / "specs" / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "kind": "rank-and-select",
+                    "out": "results/out.csv",
+                    "corpus": str(corpus),
+                    "methods": ["hits"],
+                    "budget_fractions": [0.5],
+                    "top_k": 5,
+                }
+            )
+        )
+        monkeypatch.chdir(tmp_path / "work")
+        spec = ExperimentSpec.from_file(spec_path)
+        assert spec.params["corpus"] == str(corpus)
+        assert run_experiment(spec) == Path("results/out.csv")
+        assert len(read_rows(tmp_path / "work" / "results" / "out.csv")) == 1
+        assert not (tmp_path / "specs" / "results").exists()
+
     @pytest.mark.parametrize("path", DEMO_SPECS, ids=[path.stem for path in DEMO_SPECS])
     def test_demo_spec_loads(self, path):
         spec = ExperimentSpec.from_file(path)

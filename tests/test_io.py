@@ -6,6 +6,7 @@ import pytest
 
 from juryselect import CorpusError, InputFormatError, Juror
 from juryselect.io import (
+    TweetRecord,
     read_corpus,
     read_jurors_csv,
     read_pool_csv,
@@ -13,7 +14,6 @@ from juryselect.io import (
     write_pool_csv,
     write_scores_csv,
 )
-from juryselect.estimate import TweetRecord
 
 
 class TestPoolCsv:
