@@ -21,7 +21,6 @@ from .errors import (
 from .estimate import (
     RankConfig,
     ScoreMap,
-    TweetRecord,
     UserGraph,
     ages_to_requirements,
     build_graph,
@@ -31,6 +30,7 @@ from .estimate import (
     scores_to_error_rates,
 )
 from .experiments import ExperimentSpec, run_experiment
+from .io import TweetRecord
 from .jer import (
     BoundDiagnostics,
     Juror,

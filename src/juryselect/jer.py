@@ -12,15 +12,14 @@ threshold (n+1)/2.  Three routes to the same tail probability live here:
   convolution (FFT above a size cutoff).
 
 The log tail row of T(l) = log P(W >= l) is the one tail kernel
-(``_tail_row``, ``_band``, ``_advance``): both growers hold one, step it
-by a group of BLOCK = 16 jurors, given the group's wrong-count pmf, and
-update only the band of tails a later read can reach, by one rule.
-``_odd_prefix_tails`` runs it over the odd prefixes of a list of error
-rates and reads the eight prefixes inside each block off the block-start
-row with the pmfs of the block's first pairs, all built at once.
-``log_jer`` takes its last tail, ``solve_altrm`` reads every prefix, and
-``solve_paym_greedy`` keeps a block-start row and prices each trial pair
-by the same read in O(1).  A read scales each tail by the largest one it
+(``_tail_row``, ``_band``, ``_advance``), held by two growers: each steps
+it by a group of BLOCK = 16 jurors, given the group's wrong-count pmf,
+on the band of tails a later read can reach, by one rule, and reads the
+juries in between off the block-start row.  ``odd_prefix_tails`` reads
+every odd prefix of a list of error rates, eight per block in one batch;
+``log_jer`` takes its last tail and ``solve_altrm`` reads them all.
+``PairGrower`` grows ``solve_paym_greedy``'s jury pair by pair and
+prices each trial pair by the same read in O(1).  A read scales each tail by the largest one it
 sums, and a step scales each aligned chunk of BLOCK tails by the largest
 tail its inputs hold, two ``exp``s per tail; both add only positive
 terms, with vectorised ``exp`` and ``log``, so the row stays exact to
@@ -141,7 +140,7 @@ class Jury:
 JuryLike = Union[Jury, Sequence[Juror]]
 
 
-def _epsilons(jury: JuryLike, require_odd: bool = True) -> np.ndarray:
+def jury_epsilons(jury: JuryLike, require_odd: bool = True) -> np.ndarray:
     """Extract the error-rate vector, validating size parity."""
     if isinstance(jury, Jury):
         eps = jury.epsilons
@@ -222,7 +221,7 @@ def jer_naive(jury: JuryLike) -> float:
     A with |A| >= (n+1)/2.  Exponential; refuses n > 25.  This is the
     ground truth the two fast algorithms are validated against.
     """
-    eps = _epsilons(jury)
+    eps = jury_epsilons(jury)
     n = int(eps.size)
     if n > NAIVE_SIZE_MAX:
         raise SizeLimitExceeded(f"naive enumeration capped at n = {NAIVE_SIZE_MAX}, got {n}")
@@ -398,7 +397,7 @@ def _block_pmfs(eps: list[float]) -> np.ndarray:
     return pmfs
 
 
-def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
+def odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
     """(k, log P(W_k >= (k + 1) / 2)) for each odd prefix k of ``eps``, an
     odd number of error rates, in order of k.
 
@@ -423,14 +422,67 @@ def _odd_prefix_tails(eps: list[float]) -> Iterator[tuple[int, float]]:
             _advance(row, pmfs[_PAIRS, b], *_band(k + BLOCK, last))
 
 
+class PairGrower:
+    """A jury grown pair by pair from one juror of error rate ``first``,
+    on a :func:`_tail_row` topped at ``last``, the highest threshold it
+    can reach: (N + 1) // 2 for a pool of N candidates.
+
+    As in :func:`odd_prefix_tails`, the row stays at the jury's last
+    BLOCK-juror boundary, the jury is read j off it by the pmf of the j
+    pairs admitted since, and every BLOCK / 2 admitted pairs the row
+    advances by their pmf on the scan's :func:`_band`.  :meth:`price`
+    weighs the next read by that pmf with the trial pair absorbed: base +
+    log(p0 x0 + p1 x1 + p2 x2), x_s the dot of the read's exp row with
+    the pmf shifted by s, taken once per admission, so a trial is O(1).
+    """
+
+    def __init__(self, first: float, last: int):
+        self._last, self._size, self._admitted = last, 1, 0
+        self._row = _tail_row(first, last)
+        # Row j is rewritten whole when pair j is admitted, so one table
+        # serves every block.
+        self._pmfs, self._shifted = _pmf_table(_PAIRS, 1)
+        self._terms, self._base = _read_terms(self._row, 1, _PAIRS + 1)
+        self._reprice()
+
+    def _reprice(self) -> None:
+        read = self._admitted + 1
+        self._low = float(self._base[read])
+        self._dots = (self._terms[read] @ self._shifted[self._admitted, 0]).tolist()
+
+    def price(self, a: float, b: float) -> float:
+        """The log error rate of the jury plus a pair of error rates a, b."""
+        p0, p1, p2 = _pair_weights(a, b, 1.0 - a, 1.0 - b)
+        x0, x1, x2 = self._dots
+        return self._low + math.log(p0 * x0 + p1 * x1 + p2 * x2)
+
+    def admit(self, a: float, b: float) -> None:
+        """Add jurors of error rates ``a`` and ``b`` to the jury."""
+        weights = np.array(_pair_weights(a, b, 1.0 - a, 1.0 - b)).reshape(1, 3, 1)
+        _absorb_pair(self._pmfs, self._shifted, self._admitted, weights)
+        self._admitted += 1
+        self._size += 2
+        if self._admitted == _PAIRS:
+            _advance(self._row, self._pmfs[_PAIRS, 0], *_band(self._size, self._last))
+            self._terms, self._base = _read_terms(self._row, (self._size + 1) // 2, _PAIRS + 1)
+            self._admitted = 0
+        self._reprice()
+
+    def log_tail(self) -> float:
+        """The log error rate of the jury: the scan's own read of it, so
+        :func:`log_jer` of the jury gives it bit for bit."""
+        read = slice(self._admitted, self._admitted + 1)
+        return min(float(_read(self._terms[read], self._base[read], self._pmfs[self._admitted])[0]), 0.0)
+
+
 def log_jer(jury: JuryLike) -> float:
     """Natural log of the group error rate, exact to relative float
     precision at any depth, far below the float floor.
 
-    The last tail of the odd-prefix scan (:func:`_odd_prefix_tails`).
+    The last tail of the odd-prefix scan (:func:`odd_prefix_tails`).
     O(n^2) time, O(n) space.
     """
-    *_, (_, log_tail) = _odd_prefix_tails(_epsilons(jury).tolist())
+    *_, (_, log_tail) = odd_prefix_tails(jury_epsilons(jury).tolist())
     # Rounding can lift a tail near 1 a hair above log 1.
     return min(log_tail, 0.0)
 
@@ -488,7 +540,7 @@ def wrong_count_distribution(jury: JuryLike) -> WrongCountDistribution:
     do not preserve oddness), so the result may not support a majority
     tail; see :func:`jer_from_distribution`.
     """
-    eps = _epsilons(jury, require_odd=False)
+    eps = jury_epsilons(jury, require_odd=False)
     return WrongCountDistribution(_cba(eps))
 
 
@@ -509,7 +561,7 @@ def jer_cba(jury: JuryLike) -> float:
     ``SynthConfig(1000, 0.1, 0.1, seed=1)``, whose log10 error rate is
     -477.93, reads 2.369e-16.  :func:`log_jer` is exact at any depth.
     """
-    eps = _epsilons(jury)
+    eps = jury_epsilons(jury)
     return jer_from_distribution(WrongCountDistribution(_cba(eps)))
 
 
@@ -520,7 +572,7 @@ def jer_lower_bound(jury: JuryLike) -> BoundDiagnostics:
     gamma = ((n+1)/2) / mu falls in (0, 1), the window where the
     Paley-Zygmund inequality applies.
     """
-    eps = _epsilons(jury)
+    eps = jury_epsilons(jury)
     mu = float(eps.sum())
     sigma_sq = float((eps * (1.0 - eps)).sum())
     gamma = ((eps.size + 1) / 2) / mu

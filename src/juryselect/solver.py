@@ -15,10 +15,7 @@ Two cost models:
   (a one-pool memo): a sweep of budgets over one pool builds them once.
 
 ``solve_altrm`` and ``solve_paym_greedy`` only grow a jury, so both run
-the log tail row of :mod:`juryselect.jer`, advanced BLOCK jurors at a
-time on one band, and read the juries in between off its block-start row:
-``solve_altrm`` through the odd-prefix scan that ``log_jer`` also runs,
-``solve_paym_greedy`` by the same read, priced in O(1) per trial pair.
+the tail kernel of :mod:`juryselect.jer`.
 """
 
 from __future__ import annotations
@@ -32,20 +29,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyPool, NoAffordableJuror, SizeLimitExceeded
-from .jer import (
-    _PAIRS,
-    Juror,
-    Jury,
-    _absorb_pair,
-    _advance,
-    _band,
-    _odd_prefix_tails,
-    _pair_weights,
-    _pmf_table,
-    _read,
-    _read_terms,
-    _tail_row,
-)
+from .jer import Juror, Jury, PairGrower, odd_prefix_tails
 
 # The oracle prices every one of the 2**(n-1) odd subsets, so its time
 # and memory double with each candidate; the published effectiveness
@@ -54,8 +38,9 @@ ORACLE_SIZE_MAX = 22
 
 # Relative width of the tie window: about 450 ulps, far above the rounding
 # noise between summation orders of one error rate and far below any
-# tolerance the error rates are compared at.  The free scan applies it to
-# log error rates, where a relative 1e-13 is an absolute one.
+# tolerance the error rates are compared at.  The free scan applies it as
+# an absolute width on log error rates, which holds their rounding only
+# where they are of order 1 (see solve_altrm).
 _TIE_RTOL = 1e-13
 
 # Relative slack on the oracle's block lower bound: the bound's sum and the
@@ -63,7 +48,7 @@ _TIE_RTOL = 1e-13
 _BOUND_SLACK = 1e-12
 
 # Relative slack on the free scan's stop rule: far above the rounding of
-# a running sum of error rates or of a log tail row over any pool the
+# a running sum of error rates or of the log tails over any pool the
 # O(n**2) scan can handle, and far below any gap worth comparing.
 _STOP_RTOL = 1e-9
 _LOG_HALF = math.log(0.5)
@@ -157,14 +142,15 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     Candidates are sorted by ascending error rate (ties by id) and every
     odd prefix is a candidate jury; monotonicity of the majority tail in
     each member's error rate makes the best prefix globally optimal.
-    Prefixes nest, so one log tail row, advanced BLOCK jurors at a time,
-    gives every odd prefix's error rate, the prefixes inside a block read
-    off its block-start row (``jer._odd_prefix_tails``, the scan
-    ``log_jer`` runs too).  A stop in mid-block wastes at most the reads
-    of that block.
+    Prefixes nest, so one scan, ``jer.odd_prefix_tails`` (``log_jer``
+    runs it too), gives every odd prefix's error rate, eight at a time; a
+    stop wastes at most the rest of those eight.
     A prefix replaces the best so far only when its log error rate is
-    lower by more than 1e-13, the oracle's tie window, so float noise
-    cannot break an exact tie: the smallest of tied prefixes wins.
+    lower by more than 1e-13, the oracle's tie window.  That holds the
+    kernel's rounding, so the smallest of tied prefixes wins, where log
+    error rates are of order 1, as at ties near 1/2.  Deeper, the rounding
+    grows with |log error rate| and the pool, and it breaks exact ties
+    (README, "Numerical notes").
 
     With ``use_pruning`` the scan stops after prefix n once the best
     error rate so far is below 1/2 by more than float noise and n's mean
@@ -176,7 +162,7 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     Poisson-binomial count's median lies between floor(mu) and ceil(mu)
     (Jogdeo & Samuels, 1968), so P(W_m >= t_m) >= P(W_m >= floor(mu_m))
     >= 1/2: no later prefix wins.  The float noise, a 1e-9 relative slack
-    on both tests, covers the rounding of mu's running sum and of the row
+    on both tests, covers the rounding of mu's running sum and of the tails
     at any pool size the scan's quadratic work can reach.
     ``juries_evaluated`` counts the odd prefixes read and
     ``juries_pruned`` those the stop skips, so they sum to the number of
@@ -190,7 +176,7 @@ def solve_altrm(pool: PoolLike, use_pruning: bool = True) -> SolveResult:
     best_log = math.inf
     # Running sums of the sorted error rates, left to right: mu of each odd prefix.
     mus = itertools.islice(itertools.accumulate(eps), 0, None, 2)
-    for (n, tail), mu in zip(_odd_prefix_tails(eps), mus):
+    for (n, tail), mu in zip(odd_prefix_tails(eps), mus):
         if tail < best_log - _TIE_RTOL:
             best_log = tail
             best_n = n
@@ -218,47 +204,21 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
     when it still fits the budget and does not worsen the jury error rate;
     a pair still buffered when the scan ends is discarded.
 
-    The jury's log tail row, topped at the pool's highest threshold, stays
-    at its last BLOCK-juror boundary, as in the odd-prefix scan
-    (``jer._odd_prefix_tails``), and a trial pair is priced by the scan's
-    read of the jury it would make, in O(1) float arithmetic: three dot
-    products of the read's exp row with the pmf of the pairs admitted
-    since the boundary are taken once per admission.  An admitted pair
-    joins that pmf, and every BLOCK / 2 pairs the row advances by it on
-    the scan's band.  The result's ``jer`` is one read of the final jury
-    off that row, the scan's read 0 .. BLOCK / 2 - 1 of it, so ``jer_dp``
-    of its jury gives it bit for bit.
+    A :class:`juryselect.jer.PairGrower` prices each trial pair in O(1)
+    and gives the result's ``jer``, so ``jer_dp`` of its jury gives it bit
+    for bit.
     """
     budget_amount = _amount(budget)
-    order = sorted(
-        _candidates(pool), key=lambda j: (j.epsilon * j.requirement, j.epsilon, j.id)
-    )
+    order = sorted(_candidates(pool), key=lambda j: (j.epsilon * j.requirement, j.epsilon, j.id))
     start = next((i for i, j in enumerate(order) if j.requirement <= budget_amount), None)
     if start is None:
-        raise NoAffordableJuror(
-            f"no candidate requirement fits the budget {budget_amount}"
-        )
+        raise NoAffordableJuror(f"no candidate requirement fits the budget {budget_amount}")
 
     selected = [order[start]]
     spent = order[start].requirement
     current = math.log(order[start].epsilon)
-    # No jury passes the pool's size.  pmfs row j holds the first j pairs
-    # admitted since the boundary; a row is rewritten whole when its pair
-    # is admitted, so the table serves every block.
-    last = (len(order) + 1) // 2
-    row = _tail_row(order[start].epsilon, last)
-    pmfs, shifted = _pmf_table(_PAIRS, 1)
-    terms, base = _read_terms(row, 1, _PAIRS + 1)
-    admitted = 0
-
-    def price():
-        # Read admitted + 1 weighs its row by the pmf with the trial pair
-        # absorbed: base + log(p0 x0 + p1 x1 + p2 x2), x_s the dot of that
-        # row with the pmf shifted by s, so a trial costs O(1).
-        read = admitted + 1
-        return float(base[read]), (terms[read] @ shifted[admitted, 0]).tolist()
-
-    low, (x0, x1, x2) = price()
+    # No jury passes the pool's size.
+    grower = PairGrower(order[start].epsilon, (len(order) + 1) // 2)
     evaluated = 1
     pending: Juror | None = None
     for candidate in order[start + 1 :]:
@@ -267,28 +227,16 @@ def solve_paym_greedy(pool: PoolLike, budget: BudgetLike) -> SolveResult:
                 pending = candidate
             continue
         if spent + pending.requirement + candidate.requirement <= budget_amount:
-            a, b = pending.epsilon, candidate.epsilon
-            weights = _pair_weights(a, b, 1.0 - a, 1.0 - b)
-            p0, p1, p2 = weights
-            trial = low + math.log(p0 * x0 + p1 * x1 + p2 * x2)
+            trial = grower.price(pending.epsilon, candidate.epsilon)
             evaluated += 1
             if trial <= current:
                 current = trial
                 spent += pending.requirement + candidate.requirement
                 selected += (pending, candidate)
+                grower.admit(pending.epsilon, candidate.epsilon)
                 pending = None
-                _absorb_pair(pmfs, shifted, admitted, np.array(weights).reshape(1, 3, 1))
-                admitted += 1
-                if admitted == _PAIRS:
-                    _advance(row, pmfs[_PAIRS, 0], *_band(len(selected), last))
-                    terms, base = _read_terms(row, (len(selected) + 1) // 2, _PAIRS + 1)
-                    admitted = 0
-                low, (x0, x1, x2) = price()
 
-    # The scan's read of this jury, so jer_dp gives the result's jer bit
-    # for bit.
-    read = slice(admitted, admitted + 1)
-    current = float(_read(terms[read], base[read], pmfs[admitted])[0])
+    current = grower.log_tail()
     jury = Jury(tuple(selected))
     return SolveResult(jury, math.exp(current), current / math.log(10), spent, evaluated, 0)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jer import Juror, JuryLike, _epsilons
+from .jer import Juror, JuryLike, jury_epsilons
 from .solver import CandidatePool
 
 
@@ -63,7 +63,7 @@ def simulate_vote(jury: JuryLike, ground_truth: int, seed: int) -> VoteOutcome:
     """Sample one voting: each juror flips the truth with their own error rate."""
     if ground_truth not in (0, 1):
         raise ValueError("ground_truth must be 0 or 1")
-    eps = _epsilons(jury)
+    eps = jury_epsilons(jury)
     rng = np.random.default_rng(seed)
     flipped = rng.random(eps.size) < eps
     votes = np.where(flipped, 1 - ground_truth, ground_truth)
@@ -84,7 +84,7 @@ def monte_carlo_jer(jury: JuryLike, trials: int, seed: int) -> tuple[float, floa
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    eps = _epsilons(jury)
+    eps = jury_epsilons(jury)
     n = eps.size
     threshold = (n + 1) // 2
     rng = np.random.default_rng(seed)

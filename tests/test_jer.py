@@ -31,7 +31,16 @@ from juryselect import (
     wrong_count_distribution,
 )
 from juryselect import jer as jer_module
-from juryselect.jer import BLOCK, DIRECT_CONVOLUTION_MAX, _advance, _cba, _convolve_mass, _odd_prefix_tails, _tail_row
+from juryselect.jer import (
+    BLOCK,
+    DIRECT_CONVOLUTION_MAX,
+    PairGrower,
+    _advance,
+    _cba,
+    _convolve_mass,
+    _tail_row,
+    odd_prefix_tails,
+)
 
 from conftest import random_jury_epsilons
 
@@ -337,7 +346,7 @@ class TestOddPrefixTails:
         # log_jer gets from the scan of that prefix alone.
         rng = np.random.default_rng(n)
         eps = [random_rate(rng) if rng.random() < 0.3 else float(rng.uniform(0.01, 0.6)) for _ in range(n)]
-        tails = list(_odd_prefix_tails(eps))
+        tails = list(odd_prefix_tails(eps))
         assert [k for k, _ in tails] == list(range(1, n + 1, 2))
         for k, tail in tails:
             assert log_jer(Jury.from_epsilons(eps[:k])) == min(tail, 0.0)
@@ -351,7 +360,7 @@ class TestOddPrefixTails:
         # Group weights as small as 1e-96 and tails far below the float
         # floor: every prefix within 1e-13, relative past 1 in magnitude.
         want = mpmath_log_tails(eps)
-        for k, tail in _odd_prefix_tails(eps):
+        for k, tail in odd_prefix_tails(eps):
             assert abs(tail - want[k]) <= 1e-13 * max(1.0, abs(want[k]))
 
     @pytest.mark.parametrize(
@@ -364,12 +373,47 @@ class TestOddPrefixTails:
         # down to e^-18,661: within 1e-14, relative past 1 in magnitude.
         # Not 1e-13: a step that adds its reference back after the log,
         # without dividing by U(l - m), is off by 1.6e-14 on low-then-high.
-        got = list(_odd_prefix_tails(eps))
+        got = list(odd_prefix_tails(eps))
         monkeypatch.setattr(jer_module, "_advance", per_entry_advance)
-        want = list(_odd_prefix_tails(eps))
+        want = list(odd_prefix_tails(eps))
         assert [k for k, _ in got] == [k for k, _ in want]
         for (_, tail), (_, ref) in zip(got, want):
             assert abs(tail - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+RATE_DRAWS = {
+    "moderate": lambda rng: float(rng.uniform(0.01, 0.6)),
+    "low": lambda rng: float(rng.uniform(1e-6, 1e-3)),
+    "high": lambda rng: float(rng.uniform(1 - 1e-3, 1 - 1e-6)),
+    "full": lambda rng: float(rng.uniform(1e-6, 1 - 1e-6)),
+    "clamped": random_rate,
+}
+
+
+class TestPairGrower:
+    """The greedy's pricing state against log_jer of each jury it prices."""
+
+    @pytest.mark.parametrize("draw", list(RATE_DRAWS), ids=list(RATE_DRAWS))
+    def test_price_and_tail_match_log_jer(self, draw):
+        # Juries of up to 119 jurors, across seven BLOCK boundaries, on
+        # rows topped at or above the largest jury's threshold, as the
+        # greedy's pool sets it.  Two trial pairs per admission, each
+        # priced within 1e-14 of log_jer, relative past 1 in magnitude.
+        rng = np.random.default_rng(113 + len(draw))
+        checks = 0
+        for _ in range(3):
+            eps = [RATE_DRAWS[draw](rng) for _ in range(119)]
+            grower = PairGrower(eps[0], 60 + int(rng.integers(0, 40)))
+            assert grower.log_tail() == log_jer(Jury.from_epsilons(eps[:1]))
+            for k in range(1, len(eps), 2):
+                for _ in range(2):
+                    a, b = RATE_DRAWS[draw](rng), RATE_DRAWS[draw](rng)
+                    want = log_jer(Jury.from_epsilons(eps[:k] + [a, b]))
+                    assert abs(grower.price(a, b) - want) <= 1e-14 * max(1.0, abs(want))
+                    checks += 1
+                grower.admit(eps[k], eps[k + 1])
+                assert grower.log_tail() == log_jer(Jury.from_epsilons(eps[: k + 2]))
+        assert checks == 3 * 59 * 2
 
 
 class TestConvolve:

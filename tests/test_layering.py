@@ -1,8 +1,8 @@
 """Import rules that keep the package layered, read from the source with ast.
 
 The corpus format (``io``) sits below the corpus pipeline (``estimate``),
-the experiment runner and the command line, and no module reaches into
-another one's ``_``-prefixed names.
+the experiment runner and the command line, and no juryselect module
+imports another one's ``_``-prefixed names.
 """
 
 import ast
@@ -12,9 +12,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "juryselect"
 MODULES = sorted(PACKAGE.glob("*.py"))
-# Modules whose private names stay private; solver's kernel imports from
-# jer are a separate matter.
-GUARDED = {"estimate", "io", "experiments", "cli"}
 
 
 def imports(path: Path):
@@ -47,6 +44,6 @@ def test_no_private_name_crosses_modules(path):
     crossing = [
         f"{module}.{name}"
         for module, name in imports(path)
-        if module in GUARDED and module != path.stem and name and name.startswith("_")
+        if module != path.stem and name and name.startswith("_")
     ]
     assert crossing == []

@@ -192,7 +192,7 @@ def log_prefix_scan(pool, monkeypatch):
     n_max = len(order) - (len(order) % 2 == 0)
     with monkeypatch.context() as patch:
         patch.setattr(jer, "_advance", whole_row_advance)
-        tails = [(tail, k) for k, tail in jer._odd_prefix_tails([j.epsilon for j in order[:n_max]])]
+        tails = [(tail, k) for k, tail in jer.odd_prefix_tails([j.epsilon for j in order[:n_max]])]
     best = min(tails)
     return best[1], best[0], len(tails)
 
@@ -221,6 +221,7 @@ class TestLiveBand:
             picked += [solve_paym_greedy(pool, budget) for pool, budget in paid]
             return picked, [log_jer(result.jury) for result in picked]
 
+        banded = results()
         starts = []
 
         def recording_advance(row, q, lo, hi):
@@ -228,12 +229,11 @@ class TestLiveBand:
             group_advance(row, q, lo, hi)
 
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_advance", recording_advance)
-            banded = results()
+            patch.setattr(jer, "_advance", recording_advance)
+            for pool, budget in paid:
+                solve_paym_greedy(pool, budget)
         assert max(starts) > 1
-        # The scan and log_jer look the kernel up in jer, the greedy in solver.
         monkeypatch.setattr(jer, "_advance", whole_row_advance)
-        monkeypatch.setattr(solver, "_advance", whole_row_advance)
         assert banded == results()
 
     def test_stop_fires_on_a_high_mean_pool(self, monkeypatch):
